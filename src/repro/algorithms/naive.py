@@ -100,20 +100,31 @@ class RoundRobinColorScheduler(Scheduler):
         return lambda p: float(num_colors)
 
 
-def _fcfg_step(nodes, neighbors, rng) -> Callable[[int], FrozenSet[Node]]:
+def _fcfg_step(graph: ConflictGraph, rng: RngStream) -> Callable[[int], FrozenSet[Node]]:
     """The per-holiday body of first-come-first-grab over a given rng.
 
     Shared by :meth:`FirstComeFirstGrabScheduler.build` and the checkpoint
     ``restore`` path so both sides draw the exact same wake-up sequence.
+    One vector draw of ``n`` wake-up times per holiday, in node order, is
+    the same stream (and leaves the same rng position) as ``n`` scalar
+    draws on either rng backend; the local-minimum test then runs over the
+    graph's index adjacency.
     """
+    nodes = graph.nodes()
+    adjacency = graph.index_adjacency()
 
     def step(holiday: int) -> FrozenSet[Node]:
-        wake = {p: rng.random() for p in nodes}
-        happy = [
-            p
-            for p in nodes
-            if all(wake[p] < wake[q] for q in neighbors[p])
-        ]
+        wake = rng.random(len(nodes))
+        if not isinstance(wake, list):
+            wake = wake.tolist()
+        happy = []  # the strict local minima of the wake-up times
+        for i, row in enumerate(adjacency):
+            mine = wake[i]
+            for j in row:
+                if wake[j] <= mine:
+                    break
+            else:
+                happy.append(nodes[i])
         return frozenset(happy)
 
     return step
@@ -124,11 +135,9 @@ def _fcfg_restore(graph: ConflictGraph, state: bytes) -> Callable[[int], FrozenS
     algorithm state is the rng position (the step body never reads the
     holiday index), so resuming is just rewinding a fresh stream to the
     serialized position."""
-    nodes = graph.nodes()
-    neighbors = {p: graph.neighbors(p) for p in nodes}
     rng = RngStream(0, ("fcfg", graph.name))
     rng.setstate(state)
-    step = _fcfg_step(nodes, neighbors, rng)
+    step = _fcfg_step(graph, rng)
     # resumed schedules are checkpointable in turn (checkpoints chain)
     step.checkpoint = rng.getstate
     return step
@@ -152,12 +161,10 @@ class FirstComeFirstGrabScheduler(Scheduler):
     )
 
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
-        nodes = graph.nodes()
-        neighbors = {p: graph.neighbors(p) for p in nodes}
         rng = RngStream(seed, ("fcfg", graph.name))
         return GeneratorSchedule(
             graph,
-            _fcfg_step(nodes, neighbors, rng),
+            _fcfg_step(graph, rng),
             validate=False,
             name=self.info.name,
             checkpoint=rng.getstate,

@@ -21,10 +21,10 @@ by the E1/E6 benchmarks.
 from __future__ import annotations
 
 import pickle
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.algorithms.base import Scheduler, SchedulerInfo
-from repro.coloring.base import Coloring, greedy_color_for
+from repro.coloring.base import Coloring
 from repro.coloring.distributed import distributed_deg_plus_one_coloring
 from repro.coloring.greedy import greedy_coloring
 from repro.core.problem import ConflictGraph, Node
@@ -48,6 +48,18 @@ class PhasedGreedyState:
         self.colors: Dict[Node, int] = dict(initial.colors)
         self.holiday = 0
         self.recolor_events = 0
+        self._index_state()
+
+    def _index_state(self) -> None:
+        """Derive the index-space mirror of :attr:`colors` the step runs on:
+        the node list, one color per index and the ``color -> [indices]``
+        buckets (each node sits in the bucket of the holiday it will next
+        host)."""
+        self._nodes: List[Node] = self.graph.nodes()
+        self._col: List[int] = [self.colors[p] for p in self._nodes]
+        self._buckets: Dict[int, List[int]] = {}
+        for idx, color in enumerate(self._col):
+            self._buckets.setdefault(color, []).append(idx)
 
     def step(self) -> FrozenSet[Node]:
         """Advance one holiday: return the happy set and recolor it.
@@ -55,15 +67,28 @@ class PhasedGreedyState:
         Implements the loop body of the *Phased Greedy Coloring* algorithm:
         at holiday ``i`` the nodes with current color ``i`` are happy, and
         each picks the smallest color ``> i`` unused among its neighbors.
+        The happy nodes are exactly bucket ``i``, so a holiday costs
+        ``O(sum of happy degrees)`` rather than a scan of every node; they
+        are recolored in node order, as a scan would visit them.  The
+        adjacency is read from the graph every holiday, so edges added or
+        removed between existing nodes (§6) take effect at the next step.
         """
         self.holiday += 1
         i = self.holiday
-        happy = [p for p in self.graph.nodes() if self.colors[p] == i]
-        for p in happy:
-            new_color = greedy_color_for(p, self.graph, self.colors, start=i + 1)
-            self.colors[p] = new_color
-            self.recolor_events += 1
-        return frozenset(happy)
+        happy = self._buckets.pop(i, [])
+        happy.sort()
+        col, nodes, buckets, colors = self._col, self._nodes, self._buckets, self.colors
+        adj = self.graph.index_adjacency()
+        for idx in happy:
+            taken = {col[j] for j in adj[idx]}
+            new_color = i + 1
+            while new_color in taken:
+                new_color += 1
+            col[idx] = new_color
+            colors[nodes[idx]] = new_color
+            buckets.setdefault(new_color, []).append(idx)
+        self.recolor_events += len(happy)
+        return frozenset([nodes[idx] for idx in happy])
 
     def color_of(self, node: Node) -> int:
         """Current (next-hosting-holiday) color of ``node``."""
@@ -83,8 +108,7 @@ class PhasedGreedyState:
         *index* (graph order), so the bytes never depend on node pickling
         and stay compact.
         """
-        colors = [self.colors[p] for p in self.graph.nodes()]
-        return pickle.dumps((self.holiday, self.recolor_events, colors))
+        return pickle.dumps((self.holiday, self.recolor_events, list(self._col)))
 
     @classmethod
     def from_bytes(cls, graph: ConflictGraph, state: bytes) -> "PhasedGreedyState":
@@ -101,6 +125,7 @@ class PhasedGreedyState:
         obj.colors = dict(zip(nodes, colors))
         obj.holiday = holiday
         obj.recolor_events = recolor_events
+        obj._index_state()
         return obj
 
 

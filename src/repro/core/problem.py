@@ -70,10 +70,14 @@ class ConflictGraph:
         # these thousands of times per run
         self._edge_cache: List[Edge] | None = None
         self._degree_cache: Dict[Node, int] | None = None
+        self._neighbor_cache: Dict[Node, List[Node]] | None = None
+        self._adjacency_cache: Tuple[Tuple[int, ...], ...] | None = None
 
     def _invalidate_caches(self) -> None:
         self._edge_cache = None
         self._degree_cache = None
+        self._neighbor_cache = None
+        self._adjacency_cache = None
 
     # -- construction --------------------------------------------------------------
     @staticmethod
@@ -174,7 +178,35 @@ class ConflictGraph:
 
     def neighbors(self, node: Node) -> List[Node]:
         """Neighbors (in-law families) of ``node`` in deterministic order."""
-        return self._stable_order(self._graph.neighbors(node))
+        try:
+            return list(self._neighbor_lists()[node])
+        except KeyError:
+            # fall through for networkx's error reporting on unknown nodes
+            return self._stable_order(self._graph.neighbors(node))
+
+    def _neighbor_lists(self) -> Dict[Node, List[Node]]:
+        cache = self._neighbor_cache
+        if cache is None:
+            cache = self._neighbor_cache = {
+                p: self._stable_order(self._graph.neighbors(p)) for p in self._order
+            }
+        return cache
+
+    def index_adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """Adjacency over node indices: row ``i`` holds the :meth:`index_of`
+        indices of the neighbors of ``nodes()[i]``, in :meth:`neighbors` order.
+
+        Built once and cached until the next mutation; the rows are tuples
+        so the shared structure cannot be altered by callers.  This is what
+        the generator kernels iterate instead of node-keyed dicts.
+        """
+        cache = self._adjacency_cache
+        if cache is None:
+            index, neighbors = self._index, self._neighbor_lists()
+            cache = self._adjacency_cache = tuple(
+                tuple(index[q] for q in neighbors[p]) for p in self._order
+            )
+        return cache
 
     def max_degree(self) -> int:
         """The global maximum degree ``Δ`` (0 for an empty or edgeless graph)."""

@@ -176,6 +176,10 @@ AUTO_STREAM_BYTES = 1 << 28
 #: outstanding blocks at a finer granularity than one block per worker.
 BLOCKS_PER_JOB = 4
 
+#: Rows (nodes, or edges for collision ANDs) × horizon that one numpy bulk
+#: query sweeps at a time, which bounds its transient memory.
+_SWEEP_BLOCK_CELLS = 1 << 22
+
 ScheduleOrSets = Union[Schedule, Sequence[Iterable[Node]]]
 
 
@@ -276,6 +280,8 @@ class TraceMatrix:
         self._matrix = rows_numpy
         self._bits: List[int] = rows_bitmask if rows_bitmask is not None else []
         self.unknown: List[Tuple[int, Node]] = unknown or []
+        # numpy bulk queries: (counts, first, last, dmax, dmin) per row
+        self._summary = None
 
     # -- construction --------------------------------------------------------------
     @classmethod
@@ -517,8 +523,26 @@ class TraceMatrix:
         return self.count(node) / self.horizon
 
     # -- bulk queries --------------------------------------------------------------
+    # Under numpy these answer from one whole-matrix sweep rather than a few
+    # numpy calls per node: each such call releases the GIL, so per-node
+    # loops in concurrent threads (the serve handlers) hand it back and
+    # forth across CPUs hundreds of times per query.
+    def _numpy_summary(self):
+        if self._summary is None:
+            step = max(1, _SWEEP_BLOCK_CELLS // self.horizon)
+            blocks = [
+                _row_summary_numpy(self._matrix[lo:lo + step], self.horizon)[:5]
+                for lo in range(0, len(self._order), step)
+            ]
+            self._summary = tuple(_np.concatenate(arrays) for arrays in zip(*blocks))
+        return self._summary
+
     def muls(self) -> Dict[Node, int]:
         """``{node: mul(node)}`` for every node, in graph order."""
+        if self.backend == "numpy" and self._order:
+            counts, first, last, dmax, _ = self._numpy_summary()
+            muls = _muls_numpy(counts, first, last, dmax, self.horizon)
+            return dict(zip(self._order, muls.tolist()))
         return {p: self.mul(p) for p in self._order}
 
     def all_gaps(self) -> Dict[Node, List[int]]:
@@ -527,6 +551,13 @@ class TraceMatrix:
 
     def observed_periods(self) -> Dict[Node, Optional[int]]:
         """``{node: observed period or None}`` for every node."""
+        if self.backend == "numpy" and self._order:
+            counts, _, _, dmax, dmin = self._numpy_summary()
+            periodic = ((counts >= 2) & (dmax == dmin)).tolist()
+            return {
+                p: d if periodic[i] else None
+                for i, (p, d) in enumerate(zip(self._order, dmax.tolist()))
+            }
         return {p: self.observed_period(p) for p in self._order}
 
     def happiness_rates(self) -> Dict[Node, float]:
@@ -559,12 +590,30 @@ class TraceMatrix:
             return (_np.flatnonzero(both) + 1).tolist()
         return _bit_positions(self._bits[i] & self._bits[j], offset=1)
 
-    def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
-        """``{holiday: [(u, v), ...]}`` over all graph edges with collisions."""
+    def conflicting_holidays(
+        self, edges: Optional[Iterable[Tuple[Node, Node]]] = None
+    ) -> Dict[int, List[Tuple[Node, Node]]]:
+        """``{holiday: [(u, v), ...]}`` over ``edges`` (default: the graph's
+        edges) with collisions, each holiday's pairs in ``edges`` order.
+
+        Under numpy one fancy-indexed AND covers a block of edges at once.
+        """
+        pairs = list(self.graph.edges() if edges is None else edges)
         out: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in self.graph.edges():
-            for t in self.edge_collisions(u, v):
-                out.setdefault(t, []).append((u, v))
+        if self.backend != "numpy":
+            for u, v in pairs:
+                for t in self.edge_collisions(u, v):
+                    out.setdefault(t, []).append((u, v))
+            return out
+        us = _np.asarray([self._index[u] for u, _ in pairs], dtype=_np.intp)
+        vs = _np.asarray([self._index[v] for _, v in pairs], dtype=_np.intp)
+        step = max(1, _SWEEP_BLOCK_CELLS // self.horizon)
+        for lo in range(0, len(pairs), step):
+            both = self._matrix[us[lo:lo + step]] & self._matrix[vs[lo:lo + step]]
+            # row-major: edge by edge, holidays ascending within each edge
+            hit_edges, hit_cols = _np.nonzero(both)
+            for e, t in zip(hit_edges.tolist(), hit_cols.tolist()):
+                out.setdefault(t + 1, []).append(tuple(pairs[lo + e]))
         return out
 
 
@@ -1541,6 +1590,66 @@ class StreamedTrace:
 _NO_DIFF = 1 << 62
 
 
+def _row_summary_numpy(flat, horizon: int):
+    """Per-row appearance statistics of a 2-D boolean block in one sweep.
+
+    ``nonzero`` on the flat block yields every appearance grouped by row in
+    ascending column order; per-row first/last come from segment boundaries
+    and the max/min inter-appearance differences from ``diff`` +
+    ``maximum/minimum.reduceat`` with cross-row positions neutralised — the
+    vectorized equivalent of one ``flatnonzero``/``diff`` pass per row.
+
+    Returns ``(counts, first, last, dmax, dmin, cols, seg_start, seg_end)``:
+    per-row arrays (``dmin`` is :data:`_NO_DIFF` below two appearances) plus
+    the appearance columns and each row's ``[seg_start, seg_end)`` slice of
+    them.
+    """
+    total = flat.shape[0]
+    # one flat nonzero pass instead of 2-D ``nonzero`` — the row index
+    # array it would compute is recoverable from one divmod, and the
+    # per-row counts fall out of a bincount over it.
+    pos = _np.flatnonzero(flat.ravel())
+    rows_idx, cols = _np.divmod(pos, horizon)
+    counts = _np.bincount(rows_idx, minlength=total).astype(_np.int64, copy=False)
+    cols = cols.astype(_np.int64, copy=False)
+    first = _np.zeros(total, dtype=_np.int64)
+    last = _np.zeros(total, dtype=_np.int64)
+    dmax = _np.zeros(total, dtype=_np.int64)
+    dmin = _np.full(total, _NO_DIFF, dtype=_np.int64)
+    seg_start = _np.zeros(total, dtype=_np.int64)
+    seg_end = _np.zeros(total, dtype=_np.int64)
+    nonempty = _np.flatnonzero(counts)
+    if nonempty.size:
+        seg_ends = _np.cumsum(counts[nonempty])
+        seg_starts = _np.concatenate(([0], seg_ends[:-1]))
+        first[nonempty] = cols[seg_starts]
+        last[nonempty] = cols[seg_ends - 1]
+        seg_start[nonempty] = seg_starts
+        seg_end[nonempty] = seg_ends
+        if cols.size > 1:
+            diffs = _np.diff(cols)
+            pad_max = _np.concatenate((diffs, [0]))
+            pad_min = _np.concatenate((diffs, [_NO_DIFF]))
+            # positions crossing from one row's segment into the next
+            # carry meaningless diffs — neutralise them for both folds.
+            boundary = seg_ends[:-1] - 1
+            pad_max[boundary] = 0
+            pad_min[boundary] = _NO_DIFF
+            dmax[nonempty] = _np.maximum.reduceat(pad_max, seg_starts)
+            dmin[nonempty] = _np.minimum.reduceat(pad_min, seg_starts)
+    return counts, first, last, dmax, dmin, cols, seg_start, seg_end
+
+
+def _muls_numpy(counts, first, last, dmax, horizon: int):
+    """``mul`` of every row from :func:`_row_summary_numpy` arrays: the
+    longest of the run before the first appearance, the run after the last
+    and the longest run between two; ``horizon`` for a never-happy row."""
+    muls = _np.maximum(first, horizon - 1 - last)
+    muls = _np.maximum(muls, _np.where(counts > 1, dmax - 1, 0))
+    muls[counts == 0] = horizon
+    return muls
+
+
 class TraceBatch:
     """``S`` schedules over one graph and horizon, evaluated in one pass.
 
@@ -1715,59 +1824,20 @@ class TraceBatch:
         self._scanned = True
 
     def _scan_dense_numpy(self) -> None:
-        """One vectorized sweep over the flattened ``S·n`` row block.
-
-        ``nonzero`` on the flat matrix yields every appearance of every
-        member grouped by row in ascending column order; per-row first/last
-        come from segment boundaries and the max/min inter-appearance
-        differences from ``diff`` + ``maximum/minimum.reduceat`` with
-        cross-row positions neutralised — the batched equivalent of one
-        ``flatnonzero``/``diff`` pass per row.
-        """
+        """One vectorized sweep (:func:`_row_summary_numpy`) over the
+        flattened ``S·n`` row block."""
         total = len(self.schedules) * len(self._order)
         flat = self._tensor.reshape(total, self.horizon)
-        # one flat nonzero pass instead of 2-D ``nonzero`` — the row index
-        # array it would compute is recoverable from one divmod, and the
-        # per-row counts fall out of a bincount over it.
-        pos = _np.flatnonzero(flat.ravel())
-        rows_idx, cols = _np.divmod(pos, self.horizon)
-        counts = _np.bincount(rows_idx, minlength=total).astype(_np.int64, copy=False)
-        cols = cols.astype(_np.int64, copy=False)
-        first = _np.zeros(total, dtype=_np.int64)
-        last = _np.zeros(total, dtype=_np.int64)
-        dmax = _np.zeros(total, dtype=_np.int64)
-        dmin = _np.full(total, _NO_DIFF, dtype=_np.int64)
-        seg_start = _np.zeros(total, dtype=_np.int64)
-        seg_end = _np.zeros(total, dtype=_np.int64)
-        nonempty = _np.flatnonzero(counts)
-        if nonempty.size:
-            seg_ends = _np.cumsum(counts[nonempty])
-            seg_starts = _np.concatenate(([0], seg_ends[:-1]))
-            first[nonempty] = cols[seg_starts]
-            last[nonempty] = cols[seg_ends - 1]
-            seg_start[nonempty] = seg_starts
-            seg_end[nonempty] = seg_ends
-            if cols.size > 1:
-                diffs = _np.diff(cols)
-                pad_max = _np.concatenate((diffs, [0]))
-                pad_min = _np.concatenate((diffs, [_NO_DIFF]))
-                # positions crossing from one row's segment into the next
-                # carry meaningless diffs — neutralise them for both folds.
-                boundary = seg_ends[:-1] - 1
-                pad_max[boundary] = 0
-                pad_min[boundary] = _NO_DIFF
-                dmax[nonempty] = _np.maximum.reduceat(pad_max, seg_starts)
-                dmin[nonempty] = _np.minimum.reduceat(pad_min, seg_starts)
+        counts, first, last, dmax, dmin, cols, seg_start, seg_end = _row_summary_numpy(
+            flat, self.horizon
+        )
         self._counts, self._first, self._last = counts, first, last
         self._dmax, self._dmin = dmax, dmin
         self._cols, self._seg_start, self._seg_end = cols, seg_start, seg_end
         # mul for every flat row in one vectorized formula: the per-query
         # hot path (metrics + bound certification call it per node per
         # member) collapses to an array lookup.
-        muls = _np.maximum(first, self.horizon - 1 - last)
-        muls = _np.maximum(muls, _np.where(counts > 1, dmax - 1, 0))
-        muls[counts == 0] = self.horizon
-        self._muls = muls
+        self._muls = _muls_numpy(counts, first, last, dmax, self.horizon)
         collisions: Dict[Tuple[Node, Node], List[List[int]]] = {}
         for u, v in self.graph.edges():
             i, j = self._index[u], self._index[v]
@@ -1988,10 +2058,13 @@ class _BatchMemberView:
                 return list(per_member[self._member])
         return self._materialized().edge_collisions(u, v)
 
-    def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
-        """``{holiday: [(u, v), ...]}`` over all graph edges with collisions."""
+    def conflicting_holidays(
+        self, edges: Optional[Iterable[Tuple[Node, Node]]] = None
+    ) -> Dict[int, List[Tuple[Node, Node]]]:
+        """``{holiday: [(u, v), ...]}`` over ``edges`` (default: the graph's
+        edges) with collisions, each holiday's pairs in ``edges`` order."""
         out: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in self.graph.edges():
+        for u, v in self.graph.edges() if edges is None else edges:
             for t in self.edge_collisions(u, v):
                 out.setdefault(t, []).append((u, v))
         return out

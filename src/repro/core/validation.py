@@ -40,7 +40,7 @@ cell through this module unchanged and produces identical violation lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import EngineConfig, coerce_config
 from repro.core.metrics import HappinessTrace, ScheduleLike, TraceLike, build_trace, materialize
@@ -166,12 +166,9 @@ def check_independent_sets(
 def _check_independent_sets_trace(
     matrix: TraceLike, graph: ConflictGraph, horizon: int, fail_fast: bool = False
 ) -> ValidationReport:
-    """Trace-engine legality check, emitting the same violation kinds per
-    holiday (unknown nodes first, then one not-independent record) as the
-    reference.  The *pair* named in a not-independent detail may differ from
-    the reference's choice — the matrix cannot recover the original set
-    iteration order, so the first colliding edge (in graph edge order) is
-    named as the witness."""
+    """Trace-engine legality check, emitting the same violation records per
+    holiday (unknown nodes first, then one not-independent record naming the
+    first colliding edge in graph edge order) as the reference."""
     report = ValidationReport(checked_holidays=horizon)
     # Collisions are computed against the *passed* graph's edge set — a
     # shared trace only guarantees node agreement, not edge agreement.
@@ -181,10 +178,7 @@ def _check_independent_sets_trace(
         unknown_by_holiday = {}
         for t, p in matrix.unknown:
             unknown_by_holiday.setdefault(t, []).append(p)
-        collisions: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in graph.edges():
-            for t in matrix.edge_collisions(u, v):
-                collisions.setdefault(t, []).append((u, v))
+        collisions = matrix.conflicting_holidays(graph.edges())
     for t in sorted(set(unknown_by_holiday) | set(collisions)):
         for p in unknown_by_holiday.get(t, ()):
             report.violations.append(
@@ -206,11 +200,12 @@ def _check_independent_sets_trace(
 
 
 def _find_adjacent_pair(graph: ConflictGraph, nodes: Sequence[Node]) -> Optional[Tuple[Node, Node]]:
+    """The first edge, in ``graph.edges()`` order, with both endpoints in
+    ``nodes`` — the witness every trace engine names too."""
     selected = set(nodes)
-    for p in nodes:
-        for q in graph.neighbors(p):
-            if q in selected:
-                return (p, q)
+    for u, v in graph.edges():
+        if u in selected and v in selected:
+            return (u, v)
     return None
 
 
@@ -244,10 +239,11 @@ def certify_local_bound(
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     reference = None if matrix is not None else HappinessTrace.from_schedule(schedule, graph, horizon)
     report = ValidationReport(checked_holidays=horizon)
+    limit_of = bound.__getitem__ if isinstance(bound, Mapping) else bound
     for p in graph.nodes():
         if skip_isolated and graph.degree(p) == 0:
             continue
-        limit = bound[p] if isinstance(bound, Mapping) else bound(p)
+        limit = limit_of(p)
         measured = matrix.mul(p) if matrix is not None else reference.mul(p)
         if measured > limit:
             report.violations.append(

@@ -179,15 +179,10 @@ def _report_state(report):
 
 
 def _violation_tuples(report):
-    # The witness pair inside a not-independent detail is engine-specific by
-    # documented contract (set-iteration order vs graph edge order picks a
-    # different adjacent pair as evidence), so it is masked; every other
-    # field — including details of all other kinds — must match exactly.
-    return [
-        (v.kind, v.node, v.holiday,
-         "<witness>" if v.kind == "not-independent" else v.detail)
-        for v in report.violations
-    ]
+    # Every field must match exactly, including the witness pair of a
+    # not-independent detail (all engines name the first colliding edge in
+    # graph edge order).
+    return [(v.kind, v.node, v.holiday, v.detail) for v in report.violations]
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)

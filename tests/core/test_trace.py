@@ -24,6 +24,7 @@ from repro.core.metrics import (
     observed_periods,
     unhappiness_gaps,
 )
+from repro.core import trace as trace_module
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
@@ -152,6 +153,45 @@ class TestTraceMatrixBasics:
         assert [(v.kind, v.holiday) for v in fast_report.violations] == \
             [(v.kind, v.holiday) for v in reference.violations]
         assert any(v.kind == "unknown-node" for v in fast_report.violations)
+
+
+# ---------------------------------------------------------------------------
+# numpy bulk queries: one whole-matrix sweep ≡ the per-node / per-edge queries
+# ---------------------------------------------------------------------------
+
+def _random_numpy_trace(seed):
+    """A random (often illegal) happy-set sequence observed as a numpy trace,
+    with empty, single-appearance and dense rows across seeds."""
+    rng = random.Random(seed)
+    graph = erdos_renyi(rng.randint(2, 15), 0.4, seed=seed, name=f"bulk-{seed}")
+    horizon = rng.randint(1, 40)
+    density = rng.choice([0.0, 0.05, 0.3, 0.9])
+    sets = [[p for p in graph.nodes() if rng.random() < density] for _ in range(horizon)]
+    return graph, TraceMatrix.from_schedule(sets, graph, horizon, backend="numpy")
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy arm only")
+@pytest.mark.parametrize("seed", range(25))
+def test_numpy_bulk_summaries_match_per_node_queries(seed, monkeypatch):
+    graph, matrix = _random_numpy_trace(seed)
+    # two rows per sweep block, so block boundaries are crossed
+    monkeypatch.setattr(trace_module, "_SWEEP_BLOCK_CELLS", 2 * matrix.horizon)
+    assert matrix.muls() == {p: matrix.mul(p) for p in graph.nodes()}
+    assert matrix.observed_periods() == {p: matrix.observed_period(p) for p in graph.nodes()}
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy arm only")
+@pytest.mark.parametrize("seed", range(25))
+def test_numpy_conflicting_holidays_match_per_edge_queries(seed, monkeypatch):
+    graph, matrix = _random_numpy_trace(seed)
+    # two edges per AND block, so block boundaries are crossed
+    monkeypatch.setattr(trace_module, "_SWEEP_BLOCK_CELLS", 2 * matrix.horizon)
+    edges = graph.edges()[::-1]  # the caller's edge order is kept per holiday
+    expected = {}
+    for u, v in edges:
+        for t in matrix.edge_collisions(u, v):
+            expected.setdefault(t, []).append((u, v))
+    assert matrix.conflicting_holidays(edges) == expected
 
 
 # ---------------------------------------------------------------------------
