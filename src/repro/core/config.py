@@ -46,15 +46,12 @@ The knobs:
   when non-default, so existing sinks and store cells never move.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
-accepts ``config: EngineConfig``; the historical per-call keywords survive
-as a deprecated shim, translated into a config in exactly one place
-(:func:`coerce_config`) with one :class:`DeprecationWarning` per call.
+accepts ``config: EngineConfig``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional
 
@@ -71,7 +68,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "RESULT_KNOBS",
     "WALL_CLOCK_KNOBS",
-    "coerce_config",
     "config_with",
 ]
 
@@ -97,6 +93,19 @@ _SETS_STREAM_ERROR = (
     "use backend='auto'/'numpy'/'bitmask' with horizon_mode='stream', "
     "or horizon_mode='dense'/'auto' with backend='sets'"
 )
+
+
+def _check_count(name: str, value: object, *, optional: bool) -> None:
+    """Reject a count knob that is not a positive ``int`` (``None`` allowed
+    when ``optional``).  ``bool`` is refused although it subclasses ``int``,
+    and so are ``"8"`` and ``8.0``: a knob that merely converts to an int
+    would hash into cache keys and cell ids apart from the int it equals."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,14 +164,10 @@ class EngineConfig:
             )
         if self.backend == "sets" and self.horizon_mode == "stream":
             raise ValueError(_SETS_STREAM_ERROR)
-        if self.chunk is not None and int(self.chunk) < 1:
-            raise ValueError(f"chunk width must be >= 1, got {self.chunk!r}")
-        if int(self.stream_jobs) < 1:
-            raise ValueError(f"stream_jobs must be >= 1, got {self.stream_jobs!r}")
-        if self.window is not None and int(self.window) < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
-        if self.batch is not None and int(self.batch) < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch!r}")
+        _check_count("chunk", self.chunk, optional=True)
+        _check_count("stream_jobs", self.stream_jobs, optional=False)
+        _check_count("window", self.window, optional=True)
+        _check_count("batch", self.batch, optional=True)
         if not isinstance(self.checkpoint, bool):
             raise ValueError(f"checkpoint must be a bool, got {self.checkpoint!r}")
 
@@ -257,53 +262,6 @@ class EngineConfig:
 
 #: The all-defaults config every entry point falls back to.
 DEFAULT_CONFIG = EngineConfig()
-
-#: deprecated per-call keyword -> EngineConfig field.  ``mode`` is the
-#: metrics-layer spelling and ``horizon_mode`` the runner/spec spelling of
-#: the same knob; likewise ``jobs`` / ``stream_jobs``.
-_LEGACY_FIELDS = {
-    "backend": "backend",
-    "mode": "horizon_mode",
-    "horizon_mode": "horizon_mode",
-    "chunk": "chunk",
-    "jobs": "stream_jobs",
-    "stream_jobs": "stream_jobs",
-    "window": "window",
-}
-
-
-def coerce_config(
-    config: Optional[EngineConfig],
-    legacy: Mapping[str, object],
-    *,
-    caller: str,
-    stacklevel: int = 3,
-) -> EngineConfig:
-    """Translate deprecated per-call knobs into an :class:`EngineConfig`.
-
-    The one place the back-compat shim lives: every entry point passes its
-    historical keyword values (``None`` = not given) through here.  When any
-    are set, one :class:`DeprecationWarning` is emitted for the whole call
-    and the values become a config; combining them with an explicit
-    ``config=`` is a :class:`TypeError` (there would be no way to tell which
-    side wins).  With no legacy values this is a pass-through.
-    """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    if not given:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise TypeError(
-            f"{caller}() got both config= and the deprecated keyword(s) "
-            f"{sorted(given)}; put everything on the EngineConfig"
-        )
-    warnings.warn(
-        f"{caller}(): the {', '.join(sorted(given))} keyword(s) are deprecated; "
-        "pass config=EngineConfig(...) instead (repro.core.config)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return EngineConfig(**{_LEGACY_FIELDS[k]: v for k, v in given.items()})
-
 
 def config_with(config: Optional[EngineConfig], **overrides: object) -> EngineConfig:
     """A copy of ``config`` (default config when ``None``) with overrides

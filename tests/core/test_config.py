@@ -1,8 +1,8 @@
-"""Tests for :class:`repro.core.config.EngineConfig` and the legacy shim.
+"""Tests for :class:`repro.core.config.EngineConfig`.
 
-Covers the issue's acceptance gates: JSON round-trip, ``resolve()`` with and
-without numpy, the consolidated sets/stream error, the deprecation shim
-(exactly one warning per call, identical results), and cell-id stability —
+Covers JSON round-trip, ``resolve()`` with and without numpy, the
+consolidated sets/stream error, integer-only count knobs, ``config=`` as the
+one keyword spelling at every entry point, and cell-id stability —
 default-config ids must be byte-identical to golden ids captured from the
 PR 4 codebase, so every results sink recorded before the consolidation
 still resumes.
@@ -11,24 +11,18 @@ still resumes.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 import repro.core.trace as trace_mod
 from repro.algorithms.registry import get_scheduler
-from repro.analysis.engine import ExperimentCell, ExperimentSpec
+from repro.analysis.engine import ExperimentSpec
 from repro.analysis.runner import run_scheduler
-from repro.core.config import (
-    DEFAULT_CONFIG,
-    EngineConfig,
-    coerce_config,
-    config_with,
-)
+from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
 from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.problem import ConflictGraph
-from repro.core.trace import StreamedTrace, TraceMatrix, numpy_available
+from repro.core.trace import numpy_available
 from repro.core.validation import validate_schedule
 
 #: Golden ids captured from the PR 4 codebase (before EngineConfig existed)
@@ -98,15 +92,15 @@ class TestEngineConfig:
         schedule = get_scheduler("degree-periodic").build(graph, seed=0)
         matrix = schedule.trace(8)
         with pytest.raises(ValueError, match="no streaming mode") as with_trace:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_trace(
-                    schedule, graph, 8, backend="sets", mode="stream", trace=matrix
-                )
+            build_trace(
+                schedule, graph, 8, trace=matrix,
+                config=EngineConfig(backend="sets", horizon_mode="stream"),
+            )
         with pytest.raises(ValueError, match="no streaming mode") as without_trace:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_trace(schedule, graph, 8, backend="sets", mode="stream")
+            build_trace(
+                schedule, graph, 8,
+                config=EngineConfig(backend="sets", horizon_mode="stream"),
+            )
         assert str(with_trace.value) == str(without_trace.value) == str(construct.value)
 
     def test_non_default_lists_only_overrides(self):
@@ -190,86 +184,6 @@ class TestResolve:
 
 
 # ---------------------------------------------------------------------------
-# the deprecation shim
-# ---------------------------------------------------------------------------
-
-class TestLegacyShim:
-    @pytest.fixture
-    def run_inputs(self):
-        graph = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], name="k3+tail")
-        schedule = get_scheduler("degree-periodic").build(graph, seed=1)
-        return graph, schedule
-
-    def test_exactly_one_warning_and_identical_report(self, run_inputs):
-        graph, schedule = run_inputs
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = evaluate_schedule(
-                schedule, graph, 64, backend="bitmask", mode="stream", chunk=8, jobs=2
-            )
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "evaluate_schedule" in message and "EngineConfig" in message
-
-        modern = evaluate_schedule(
-            schedule, graph, 64,
-            config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=8, stream_jobs=2),
-        )
-        assert legacy.muls == modern.muls
-        assert legacy.periods == modern.periods
-        assert legacy.summary() == modern.summary()
-
-    def test_validate_and_run_scheduler_shims(self, run_inputs):
-        graph, schedule = run_inputs
-        with pytest.warns(DeprecationWarning, match="validate_schedule"):
-            legacy = validate_schedule(schedule, graph, 64, backend="bitmask")
-        modern = validate_schedule(
-            schedule, graph, 64, config=EngineConfig(backend="bitmask")
-        )
-        assert legacy.ok == modern.ok
-
-        with pytest.warns(DeprecationWarning, match="run_scheduler"):
-            outcome = run_scheduler(
-                get_scheduler("degree-periodic"), graph, horizon=64, backend="bitmask"
-            )
-        assert outcome.backend == "bitmask"
-        assert outcome.config == EngineConfig(backend="bitmask")
-
-    def test_spec_shim_warns_and_matches_config_spec(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            legacy = golden_spec(backend="bitmask", horizon_mode="stream", chunk=16)
-        modern = golden_spec(
-            config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=16)
-        )
-        assert legacy == modern
-        assert legacy.config.stream_jobs == 1
-
-    def test_config_plus_legacy_kwarg_is_an_error(self, run_inputs):
-        graph, schedule = run_inputs
-        with pytest.raises(TypeError, match="both config="):
-            evaluate_schedule(
-                schedule, graph, 16, backend="bitmask", config=EngineConfig()
-            )
-        with pytest.raises(TypeError, match="both config="):
-            golden_spec(backend="bitmask", config=EngineConfig(chunk=4))
-
-    def test_no_warning_on_config_path(self, run_inputs):
-        graph, schedule = run_inputs
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evaluate_schedule(schedule, graph, 32, config=EngineConfig(backend="bitmask"))
-            validate_schedule(schedule, graph, 32, config=EngineConfig(backend="bitmask"))
-            run_scheduler(get_scheduler("degree-periodic"), graph, horizon=32)
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_coerce_config_passthrough(self):
-        assert coerce_config(None, {"backend": None}, caller="x") is DEFAULT_CONFIG
-        explicit = EngineConfig(chunk=5)
-        assert coerce_config(explicit, {"backend": None}, caller="x") is explicit
-
-
-# ---------------------------------------------------------------------------
 # cell-id stability against the PR 4 goldens
 # ---------------------------------------------------------------------------
 
@@ -289,29 +203,11 @@ class TestCellIdStability:
         )
         assert spec.cells()[0].cell_id() == GOLDEN_BITMASK_CELL_ID
 
-    def test_legacy_kwargs_and_config_hash_identically(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = golden_spec(horizon_mode="stream", chunk=16, stream_jobs=2)
-        modern = golden_spec(
-            config=EngineConfig(horizon_mode="stream", chunk=16, stream_jobs=2)
-        )
-        assert [c.cell_id() for c in legacy.cells()] == [c.cell_id() for c in modern.cells()]
-        assert [c.cell_id() for c in legacy.cells()] != GOLDEN_SPEC_CELL_IDS
-
     def test_window_marks_cell_id_only_when_set(self):
         base = golden_spec().cells()[0]
         windowed = golden_spec(config=EngineConfig(window=256)).cells()[0]
         assert windowed.cell_id() != base.cell_id()
         assert golden_spec(config=EngineConfig()).cells()[0].cell_id() == base.cell_id()
-
-    def test_cell_shim_matches_config_cell(self):
-        base = dict(
-            experiment="t", workload="w", algorithm="sequential", params={}, seed=0
-        )
-        with pytest.warns(DeprecationWarning, match="ExperimentCell"):
-            legacy = ExperimentCell(**base, backend="bitmask")
-        assert legacy == ExperimentCell(**base, config=EngineConfig(backend="bitmask"))
-
 
 # ---------------------------------------------------------------------------
 # spec serialization: new format + legacy payload migration
@@ -326,10 +222,10 @@ class TestSpecSerialization:
         assert ExperimentSpec.from_json(path) == spec
         assert json.loads(path.read_text())["config"]["chunk"] == 128
 
-    def test_legacy_spec_payload_still_loads(self):
-        """Spec JSON written before the consolidation (flat backend /
-        horizon_mode / chunk / stream_jobs keys) must keep loading — and
-        silently, since a data file is not an API misuse."""
+    def test_flat_spec_payload_rejected_naming_keys(self):
+        """Spec JSON written before the consolidation carried the engine
+        knobs as flat top-level keys.  Only ``config`` spells them now, so
+        such a file is rejected with an error naming every flat key."""
         payload = {
             "name": "old",
             "workloads": ["small/path"],
@@ -345,21 +241,99 @@ class TestSpecSerialization:
             "chunk": 32,
             "stream_jobs": 2,
         }
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = ExperimentSpec.from_dict(payload)
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert spec.config == EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=32, stream_jobs=2
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentSpec.from_dict(payload)
+        assert str(excinfo.value) == (
+            "unknown ExperimentSpec fields: "
+            "['backend', 'chunk', 'horizon_mode', 'stream_jobs']"
         )
 
-    def test_mixed_config_and_legacy_payload_rejected(self):
-        payload = {
-            "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
-            "backend": "bitmask", "config": {"backend": "numpy"},
-        }
-        with pytest.raises(ValueError, match="mixes"):
+
+# ---------------------------------------------------------------------------
+# count knobs are ints, nothing that merely converts to one
+# ---------------------------------------------------------------------------
+
+COUNT_KNOBS = ("chunk", "stream_jobs", "window", "batch")
+NOT_INTS = ("8", 2.5, True)
+
+
+class TestIntegerKnobs:
+    @pytest.mark.parametrize("knob", COUNT_KNOBS)
+    @pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+    def test_constructor_rejects_non_int(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be an int"):
+            EngineConfig(**{knob: value})
+
+    @pytest.mark.parametrize("knob", COUNT_KNOBS)
+    @pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+    def test_spec_payload_rejects_non_int(self, knob, value):
+        payload = golden_spec().to_dict()
+        payload["config"] = {knob: value, "horizon_mode": "stream"}
+        with pytest.raises(ValueError, match=f"{knob} must be an int"):
             ExperimentSpec.from_dict(payload)
+
+    def test_valid_ints_still_accepted(self):
+        config = EngineConfig(chunk=8, stream_jobs=2, window=16, batch=4)
+        assert (config.chunk, config.stream_jobs, config.window, config.batch) == (8, 2, 16, 4)
+        assert EngineConfig(chunk=None, window=None, batch=None) == DEFAULT_CONFIG
+        with pytest.raises(ValueError, match="stream_jobs must be an int"):
+            EngineConfig(stream_jobs=None)
+
+
+# ---------------------------------------------------------------------------
+# config= is the one spelling; everything after the paper's inputs is
+# keyword-only
+# ---------------------------------------------------------------------------
+
+def _stale_calls():
+    from repro.analysis.engine import ExperimentCell
+    from repro.analysis.runner import compare_schedulers
+    from repro.core.validation import (
+        certify_local_bound,
+        certify_periodicity,
+        check_independent_sets,
+    )
+
+    def bound(p):
+        return 10
+
+    return {
+        "evaluate_schedule-5th-positional":
+            lambda s, g: evaluate_schedule(s, g, 16, "name", "numpy"),
+        "validate_schedule-backend-kwarg":
+            lambda s, g: validate_schedule(s, g, 16, backend="numpy"),
+        "build_trace-4th-positional":
+            lambda s, g: build_trace(s, g, 16, "numpy"),
+        "build_trace-mode-kwarg":
+            lambda s, g: build_trace(s, g, 16, mode="stream"),
+        "check_independent_sets-jobs-kwarg":
+            lambda s, g: check_independent_sets(s, g, 16, jobs=2),
+        "certify_local_bound-7th-positional":
+            lambda s, g: certify_local_bound(s, g, 16, bound, "b", False, "numpy"),
+        "certify_periodicity-4th-positional":
+            lambda s, g: certify_periodicity(s, 16, True, "numpy"),
+        "run_scheduler-backend-kwarg":
+            lambda s, g: run_scheduler(get_scheduler("sequential"), g, 16, backend="numpy"),
+        "compare_schedulers-stream_jobs-kwarg":
+            lambda s, g: compare_schedulers({"g": g}, ["sequential"], stream_jobs=2),
+        "compare_schedulers-jobs-positional":
+            lambda s, g: compare_schedulers({"g": g}, ["sequential"], "e", 16, 0, True, 2),
+        "ExperimentSpec-chunk-kwarg":
+            lambda s, g: golden_spec(chunk=16),
+        "ExperimentCell-backend-kwarg":
+            lambda s, g: ExperimentCell("e", "w", "sequential", {}, 0, backend="numpy"),
+    }
+
+
+STALE_CALLS = _stale_calls()
+
+
+@pytest.mark.parametrize("call", list(STALE_CALLS.values()), ids=list(STALE_CALLS))
+def test_stale_engine_spelling_is_a_type_error(call):
+    graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
+    schedule = get_scheduler("degree-periodic").build(graph, seed=0)
+    with pytest.raises(TypeError):
+        call(schedule, graph)
 
 
 # ---------------------------------------------------------------------------

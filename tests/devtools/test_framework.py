@@ -22,7 +22,7 @@ from repro.devtools.reporters import REPORT_VERSION, render_json, render_text
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 ALL_CODES = [
-    "REP101", "REP102", "REP103", "REP104",
+    "REP102", "REP103", "REP104",
     "REP105", "REP106", "REP107", "REP108",
 ]
 
@@ -44,7 +44,7 @@ def test_get_rule_unknown_code():
 
 def test_register_rule_rejects_duplicate_and_malformed_codes():
     class Duplicate(Rule):
-        code = "REP101"
+        code = "REP102"
 
     with pytest.raises(ValueError, match="already registered"):
         register_rule(Duplicate)

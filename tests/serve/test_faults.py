@@ -112,6 +112,17 @@ class TestBadValues:
         status, body = client.post("/evaluate", dict(GOOD, config="fast"))
         assert_envelope(status, body, 400, "bad_request")
 
+    @pytest.mark.parametrize("knob", ["chunk", "stream_jobs", "window", "batch"])
+    @pytest.mark.parametrize("value", ["8", 2.5, True], ids=repr)
+    def test_non_integer_config_count(self, service_client, knob, value):
+        """A count knob that merely converts to an int would answer 200
+        under a cache key apart from the int it equals; it is a 400."""
+        _service, client = service_client
+        config = {knob: value, "horizon_mode": "stream"}
+        status, body = client.post("/evaluate", dict(GOOD, config=config))
+        assert_envelope(status, body, 400, "bad_request")
+        assert f"{knob} must be an int" in body["error"]["message"]
+
     def test_non_object_workload_params(self, service_client):
         _service, client = service_client
         status, body = client.post("/evaluate", dict(GOOD, workload_params=[1, 2]))

@@ -413,9 +413,10 @@ class TestExperiment:
         assert [r.params["horizon_mode"] for r in records] == ["stream"]
         assert [r.params["backend"] for r in records] == ["bitmask"]
 
-    def test_legacy_spec_json_still_runs(self, tmp_path, capsys):
+    def test_flat_spec_json_is_a_one_line_error(self, tmp_path):
         """A pre-consolidation spec file (flat backend/horizon_mode keys)
-        keeps running through the CLI."""
+        exits with one error line naming the flat keys, not a traceback
+        (SystemExit with a message prints it and exits 1)."""
         import json as json_mod
 
         spec_path = tmp_path / "old-spec.json"
@@ -427,8 +428,12 @@ class TestExperiment:
             "backend": "bitmask",
             "horizon_mode": "dense",
         }))
-        assert main(["experiment", "--spec", str(spec_path)]) == 0
-        assert "old-format" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--spec", str(spec_path)])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: cannot load spec")
+        assert "\n" not in message
+        assert "unknown ExperimentSpec fields: ['backend', 'horizon_mode']" in message
 
     def test_spec_override_errors_are_clean(self, tmp_path):
         from repro.analysis.engine import ExperimentSpec
