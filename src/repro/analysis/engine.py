@@ -50,12 +50,14 @@ re-parsing the sink.
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
 import itertools
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
     Callable,
@@ -82,6 +84,7 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentCell",
     "ExperimentEngine",
+    "cell_ids_of",
     "execute_cell",
     "expand_grid",
     "run_grid",
@@ -161,8 +164,9 @@ class HorizonPolicy:
         return horizon
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (for spec files and cell hashing)."""
-        return asdict(self)
+        """JSON-serializable form (for spec files and cell hashing).  The
+        fields are scalars, so a plain field dict needs no deep copy."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "HorizonPolicy":
@@ -256,10 +260,14 @@ class ExperimentSpec:
 
     def cells(self, extra_workloads: Sequence[str] = ()) -> List["ExperimentCell"]:
         """The ordered cartesian product: workload × algorithm × grid × seed."""
+        # Cells share the grid-point dicts and the spec's workload_params:
+        # nothing mutates a cell's mappings (records copy them), so a
+        # per-cell copy would only cost time.
+        grid_points = expand_grid(self.grid)
         out: List[ExperimentCell] = []
         for workload in self.resolved_workloads(extra=extra_workloads):
             for algorithm in self.algorithms:
-                for params in expand_grid(self.grid):
+                for params in grid_points:
                     for seed in self.seeds:
                         out.append(
                             ExperimentCell(
@@ -271,7 +279,7 @@ class ExperimentSpec:
                                 horizon=self.horizon,
                                 policy=self.policy,
                                 certify_bound=self.certify_bound,
-                                workload_params=dict(self.workload_params),
+                                workload_params=self.workload_params,
                                 config=self.config,
                             )
                         )
@@ -337,7 +345,7 @@ def _canonical_value(value: object) -> object:
     ``param_key``/``cell_id`` total and stable: a no-op for the all-string
     params every spec produces (golden ids unchanged), and locked by golden
     tests for the exotic shapes (non-string keys, nested lists)."""
-    if isinstance(value, Mapping):
+    if isinstance(value, collections.abc.Mapping):
         return {str(k): _canonical_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]
@@ -355,6 +363,64 @@ def graph_fingerprint(graph: ConflictGraph) -> str:
         (graph.name, sorted(map(repr, graph.nodes())), sorted(map(repr, graph.edges())))
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+#: the per-cell fields of a cell's identity, in the sorted key order
+#: ``json.dumps(sort_keys=True)`` writes them in — the order of the values
+#: :meth:`ExperimentCell._id_from` fills into an identity template.
+_CELL_IDENTITY_FIELDS = (
+    "algorithm", "certify_bound", "experiment", "graph_key", "horizon",
+    "params", "seed", "workload", "workload_params",
+)
+
+
+def _json_fragment(value: object) -> str:
+    """``json.dumps(value, sort_keys=True)``, short-cut for the scalar types
+    that make up almost every cell identity."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value, sort_keys=True)
+
+
+def _mapping_fragment(mapping: Mapping[str, object]) -> str:
+    """The identity JSON of a params mapping: canonical (see
+    :func:`_canonical_value`), with the empty mapping short-cut."""
+    return _json_fragment(_canonical_value(dict(mapping))) if mapping else "{}"
+
+
+def _identity_template(policy: HorizonPolicy, config: EngineConfig) -> str:
+    """The JSON text of a cell identity, ``json.dumps(identity,
+    sort_keys=True)``, with its spec-wide part written out and one ``%s``
+    slot per :data:`_CELL_IDENTITY_FIELDS` entry.
+
+    The spec-wide part is the policy, the backend and the non-default
+    :class:`EngineConfig` knobs.  Only non-default knobs mark the id
+    (:meth:`EngineConfig.non_default`): the horizon representation and the
+    parallelism knobs — including ``checkpoint``, whose default-True value
+    therefore never moves a pre-checkpoint id — never change a record, so
+    ids (and resumable sinks) recorded before each knob existed stay valid.
+    ``backend`` predates the config and is always hashed, exactly as it was
+    pre-consolidation.  ``batch`` is never hashed: the batching planner
+    provably produces the same record for every batch size (differentially
+    tested), so hashing it would declare equivalent runs mutually
+    unresumable.
+    """
+    shared: Dict[str, object] = {"policy": policy.to_dict(), "backend": config.backend}
+    shared.update(
+        {k: v for k, v in config.non_default().items() if k not in ("backend", "batch")}
+    )
+    entries = {k: json.dumps(v, sort_keys=True).replace("%", "%%") for k, v in shared.items()}
+    entries.update(dict.fromkeys(_CELL_IDENTITY_FIELDS, "%s"))
+    return "{" + ", ".join(
+        f"{encode_basestring_ascii(key)}: {entries[key]}" for key in sorted(entries)
+    ) + "}"
 
 
 @dataclass(frozen=True)
@@ -402,39 +468,25 @@ class ExperimentCell:
         records and parallelism never changes one, so a default config keeps
         the cell ids (and therefore resumable sinks) of runs recorded before
         each knob existed — asserted against golden PR 4 ids in
-        ``tests/core/test_config.py``.
+        ``tests/core/test_config.py``.  :func:`cell_ids_of` computes the
+        same ids for many cells at once.
         """
-        identity: Dict[str, object] = {
-            "experiment": self.experiment,
-            "workload": self.workload,
-            "algorithm": self.algorithm,
-            "params": _canonical_value(dict(self.params)),
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "policy": self.policy.to_dict(),
-            "backend": self.config.backend,
-            "certify_bound": self.certify_bound,
-            "workload_params": _canonical_value(dict(self.workload_params)),
-            "graph_key": self.graph_key,
-        }
-        # Only non-default knobs mark the id (EngineConfig.non_default):
-        # the horizon representation and the parallelism knobs — including
-        # ``checkpoint``, whose default-True value therefore never moves a
-        # pre-checkpoint id — never change a record, so ids (and resumable
-        # sinks) recorded before each knob existed stay valid.  ``backend``
-        # predates the config and is always hashed, exactly as it was
-        # pre-consolidation.  ``batch`` is never hashed: the batching
-        # planner provably produces the same record for every batch size
-        # (differentially tested), so hashing it would declare equivalent
-        # runs mutually unresumable.
-        identity.update(
-            {
-                k: v
-                for k, v in self.config.non_default().items()
-                if k not in ("backend", "batch")
-            }
+        return self._id_from(_identity_template(self.policy, self.config))
+
+    def _id_from(self, template: str) -> str:
+        """Fill this cell's fields into an :func:`_identity_template` and hash
+        the resulting identity JSON."""
+        payload = template % (
+            _json_fragment(self.algorithm),
+            _json_fragment(self.certify_bound),
+            _json_fragment(self.experiment),
+            _json_fragment(self.graph_key),
+            _json_fragment(self.horizon),
+            _mapping_fragment(self.params),
+            _json_fragment(self.seed),
+            _json_fragment(self.workload),
+            _mapping_fragment(self.workload_params),
         )
-        payload = json.dumps(identity, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def describe(self) -> str:
@@ -443,6 +495,26 @@ class ExperimentCell:
         if self.params:
             bits += f" {self.param_key()}"
         return f"{bits} seed={self.seed}"
+
+
+def cell_ids_of(cells: Sequence[ExperimentCell]) -> List[str]:
+    """``[cell.cell_id() for cell in cells]``, writing the spec-wide part of
+    the identity once per distinct ``(policy, config)`` pair, not per cell.
+
+    The pairs are told apart by object identity, which is exact within one
+    call (the cells keep every object alive) where value equality is not:
+    ``HorizonPolicy(multiplier=4)`` equals ``HorizonPolicy(multiplier=4.0)``
+    but hashes to a different id.  Nothing outlives the call.
+    """
+    templates: Dict[Tuple[int, int], str] = {}
+    out: List[str] = []
+    for cell in cells:
+        key = (id(cell.policy), id(cell.config))
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _identity_template(cell.policy, cell.config)
+        out.append(cell._id_from(template))
+    return out
 
 
 def _graph_params(cell: ExperimentCell) -> Dict[str, object]:
@@ -695,27 +767,6 @@ def _record_line(record: ExperimentRecord) -> str:
     return record_to_json_line(record)
 
 
-def _stamp_cached(record: ExperimentRecord) -> ExperimentRecord:
-    """A copy of a stored record marked as a cache replay.
-
-    The stamp lives in ``params`` (``cached: true``) so a sink reader can
-    tell replays from fresh measurements; like the timing metrics it is
-    provenance, not content, and comparisons strip it (the store itself
-    never persists it — see :meth:`ResultStore.put_many`).
-    """
-    from repro.io.store import CACHED_PARAM
-
-    params = dict(record.params)
-    params[CACHED_PARAM] = True
-    return ExperimentRecord(
-        experiment=record.experiment,
-        workload=record.workload,
-        algorithm=record.algorithm,
-        metrics=dict(record.metrics),
-        params=params,
-    )
-
-
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
@@ -880,7 +931,7 @@ class ExperimentEngine:
                 f"unknown workload(s): {', '.join(unknown)}; "
                 "see repro.graphs.suites.available_workloads()"
             )
-        cell_ids = [cell.cell_id() for cell in cells]
+        cell_ids = cell_ids_of(cells)
         if self.resume and self.store is not None:
             # Indexed resume: one chunked PRIMARY KEY probe replaces a full
             # sink re-parse.  The sink is rebuilt from the store at the end,
@@ -899,19 +950,32 @@ class ExperimentEngine:
         # Cross-campaign cache: probe the store for every still-pending cell
         # and replay hits instead of executing them.  Hits are stamped
         # ``cached: true`` (a provenance field, stripped alongside the timing
-        # metrics when comparing runs) and flow to the sink like fresh
-        # records; only misses reach the batching planner — a fully warm
-        # campaign builds no graphs and runs no kernels at all.
+        # metrics when comparing runs; the store never persists it — see
+        # ResultStore.put_many) and flow to the sink like fresh records; only
+        # misses reach the batching planner — a fully warm campaign builds no
+        # graphs and runs no kernels at all.  ``lookup`` decodes a fresh
+        # record per id that nothing else references, so the stamp goes on in
+        # place; only a cell listed twice in the spec shares its id's record
+        # and gets a copy of its own.
         cache_hits: Dict[int, ExperimentRecord] = {}
         if self.store is not None and self.cache and pending:
+            from repro.io.store import CACHED_PARAM
+
             hits = self.store.lookup([cell_ids[i] for i, _ in pending])
             if hits:
                 for i, _ in pending:
                     record = hits.get(cell_ids[i])
-                    if record is not None:
-                        cache_hits[i] = _stamp_cached(record)
+                    if record is None:
+                        continue
+                    if CACHED_PARAM in record.params:
+                        record = replace(
+                            record, metrics=dict(record.metrics), params=dict(record.params)
+                        )
+                    record.params[CACHED_PARAM] = True
+                    cache_hits[i] = record
                 pending = [(i, c) for i, c in pending if i not in cache_hits]
         campaign = self.campaign or spec.name
+        config_json = spec.config.to_json()
         if self.store is not None:
             self.store.register_campaign(
                 campaign,
@@ -959,11 +1023,7 @@ class ExperimentEngine:
                         # already stored — re-putting them would be a no-op
                         # INSERT OR IGNORE, skipped to keep the warm path
                         # read-only.
-                        self.store.put(
-                            record,
-                            campaign=campaign,
-                            config_json=cells[emitted].config.to_json(),
-                        )
+                        self.store.put(record, campaign=campaign, config_json=config_json)
                     emitted += 1
 
             units = _plan_units(pending, graphs)

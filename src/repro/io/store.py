@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.records import ExperimentRecord
-from repro.io.results import record_from_dict, record_to_json_line
+from repro.io.results import record_to_json_line
 from repro.utils.logging import get_logger
 
 __all__ = ["ResultStore", "CACHED_PARAM"]
@@ -84,6 +84,24 @@ _LOOKUP_CHUNK = 400
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+
+
+def _record_from_json(record_json: str) -> ExperimentRecord:
+    """Decode a stored ``record_json`` straight into a record.
+
+    Every stored line was written by :func:`record_to_json_line`, so all
+    five keys are present, and the freshly decoded ``metrics``/``params``
+    dicts become the record's own: nothing else references them, so unlike
+    :func:`~repro.io.results.record_from_dict` this makes no copy.
+    """
+    payload = json.loads(record_json)
+    return ExperimentRecord(
+        experiment=payload["experiment"],
+        workload=payload["workload"],
+        algorithm=payload["algorithm"],
+        metrics=payload["metrics"],
+        params=payload["params"],
+    )
 
 
 def _as_int(value: object) -> Optional[int]:
@@ -160,7 +178,18 @@ class ResultStore:
         A campaign is a provenance tag, not a partition: cells carry the
         campaign that *first computed* them, and later campaigns reading
         those cells as cache hits never re-tag them.
+
+        A known name costs one read: the insert (a write statement, which
+        takes SQLite's write lock) runs only when the name is absent, so a
+        fully cached replay never waits on another process's write
+        transaction.  ``OR IGNORE`` keeps two processes that both saw the
+        name absent harmless.
         """
+        known = self._conn.execute(
+            "SELECT 1 FROM campaigns WHERE name = ?", (name,)
+        ).fetchone()
+        if known is not None:
+            return
         self._conn.execute(
             "INSERT OR IGNORE INTO campaigns (name, experiment, spec_json, created_at) "
             "VALUES (?, ?, ?, ?)",
@@ -268,14 +297,15 @@ class ResultStore:
         ).fetchone()
         if row is None:
             return None
-        return record_from_dict(json.loads(row[0]))
+        return _record_from_json(row[0])
 
     def lookup(self, cell_ids: Sequence[str]) -> Dict[str, ExperimentRecord]:
         """``{cell_id: record}`` for every given id present in the store.
 
         One indexed ``IN`` probe per :data:`_LOOKUP_CHUNK` ids — this is the
         engine's cache (and resume) fast path, O(hits) instead of
-        re-parsing a whole JSONL sink.
+        re-parsing a whole JSONL sink.  Each hit is decoded once into a
+        record the caller owns outright (see :func:`_record_from_json`).
         """
         out: Dict[str, ExperimentRecord] = {}
         ids = list(dict.fromkeys(cell_ids))  # dedup, keep order
@@ -287,7 +317,7 @@ class ResultStore:
                 chunk,
             ).fetchall()
             for cell_id, record_json in rows:
-                out[cell_id] = record_from_dict(json.loads(record_json))
+                out[cell_id] = _record_from_json(record_json)
         return out
 
     # -- filtered queries ----------------------------------------------------
@@ -343,7 +373,7 @@ class ResultStore:
             sql += " LIMIT ?"
             args.append(int(limit))
         rows = self._conn.execute(sql, args).fetchall()
-        return [record_from_dict(json.loads(r[0])) for r in rows]
+        return [_record_from_json(r[0]) for r in rows]
 
     # -- JSONL interop (the wire format) -------------------------------------
     def import_jsonl(self, path: _PathLike, campaign: Optional[str] = None) -> int:

@@ -5,7 +5,10 @@ the horizon policy consolidation, serial-vs-parallel determinism on the
 small suite, JSONL streaming, and resume-after-truncation semantics.
 """
 
+import hashlib
 import json
+import sqlite3
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -15,6 +18,8 @@ from repro.analysis.engine import (
     ExperimentSpec,
     HorizonPolicy,
     TIMING_METRICS,
+    _canonical_value,
+    cell_ids_of,
     execute_cell,
     expand_grid,
     run_grid,
@@ -729,6 +734,56 @@ class TestStoreCache:
         assert {c["name"] for c in store.campaigns()} == {"pilot", "t2"}
 
 
+    def test_in_place_stamp_never_leaks(self, tmp_path):
+        """Warm hits are stamped ``cached`` in place on the records the
+        store lookup decoded for this run alone: the stamp never reaches
+        the store, two runs never share a record, and resume stays
+        unstamped."""
+        from repro.io.store import ResultStore
+
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        spec = tiny_spec()
+        cold = ExperimentEngine(store=store).run(spec)
+        engine = ExperimentEngine(store=store)
+        first, second = list(engine.run(spec)), list(engine.run(spec))
+        with sqlite3.connect(str(path)) as conn:
+            stored = [row[0] for row in conn.execute("SELECT record_json FROM cells")]
+        assert len(stored) == 4
+        assert not any('"cached"' in line for line in stored)
+        for a, b in zip(first, second):
+            assert a is not b and a.params is not b.params and a.metrics is not b.metrics
+            assert a.params["cached"] is True and b.params["cached"] is True
+        expected = [record_to_json_line(r) for r in second]
+        first[0].params["cell_id"] = "tampered"
+        first[0].params.pop("cached")
+        first[0].metrics["max_mul"] = -1.0
+        third = engine.run(spec)
+        assert [record_to_json_line(r) for r in third] == expected
+        resumed = ExperimentEngine(store=store, resume=True)
+        records = resumed.run(spec)
+        assert resumed.stats["skipped"] == 4 and resumed.stats["cached"] == 0
+        assert all("cached" not in r.params for r in records)
+        assert [record_to_json_line(r) for r in records] == [
+            record_to_json_line(r) for r in cold
+        ]
+
+    def test_duplicate_cells_get_their_own_stamped_record(self, tmp_path):
+        """A cell listed twice shares one cell id, and so one decoded hit:
+        the second occurrence gets a copy, not the same object."""
+        from repro.io.store import ResultStore
+
+        store = ResultStore(tmp_path / "s.sqlite")
+        spec = tiny_spec(workloads=("small/path",), algorithms=("sequential",), seeds=(0, 0))
+        ExperimentEngine(store=store).run(spec)
+        engine = ExperimentEngine(store=store)
+        a, b = engine.run(spec)
+        assert engine.stats["cached"] == 2
+        assert a is not b and a.params is not b.params and a.metrics is not b.metrics
+        assert a == b and a.params["cached"] is True
+        assert len(store) == 1
+
+
 class TestParamCanonicalization:
     """Golden ids locking the JSON canonicalization of exotic param shapes.
 
@@ -776,3 +831,76 @@ class TestParamCanonicalization:
         )
         assert cell.param_key() == json.dumps({"scale": 2}, sort_keys=True)
         assert cell.cell_id() == "f5a2b3294ef2c885"
+
+
+def reference_cell_id(cell):
+    """The cell id as one ``json.dumps`` of the whole identity dict — the
+    definition every identity template must reproduce byte for byte."""
+    identity = {
+        "experiment": cell.experiment,
+        "workload": cell.workload,
+        "algorithm": cell.algorithm,
+        "params": _canonical_value(dict(cell.params)),
+        "seed": cell.seed,
+        "horizon": cell.horizon,
+        "policy": asdict(cell.policy),
+        "backend": cell.config.backend,
+        "certify_bound": cell.certify_bound,
+        "workload_params": _canonical_value(dict(cell.workload_params)),
+        "graph_key": cell.graph_key,
+    }
+    identity.update(
+        {k: v for k, v in cell.config.non_default().items() if k not in ("backend", "batch")}
+    )
+    payload = json.dumps(identity, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def exotic_cells():
+    """Cells whose fields stress the JSON writing: ``%`` signs, non-ASCII
+    and escaped characters, int keys, tuples, floats, negative and huge
+    ints, ``None``, ``bool`` and an int-valued float policy."""
+    configs = [
+        EngineConfig(),
+        EngineConfig(backend="bitmask", horizon_mode="stream", chunk=7, window=3),
+        EngineConfig(stream_jobs=3, checkpoint=False, batch=2),
+    ]
+    policies = [HorizonPolicy(), HorizonPolicy(multiplier=4.0), HorizonPolicy(explicit=10)]
+    fields = [
+        dict(experiment="100% %s %% e\u00e9 \"q\"\n", params={}, seed=0),
+        dict(experiment="t", params={2: "two", "x": (1, 2.5), "u": "\u00fc"}, seed=-3),
+        dict(experiment="t", params={"flag": True, "none": None}, seed=2**70,
+             horizon=64, certify_bound=False),
+        dict(experiment="t", params={"nested": {"b": [1, {"a": 0}]}}, seed=1,
+             workload_params={"seed": 3, "scale": 1.5}, graph_key="%d"),
+    ]
+    return [
+        ExperimentCell(workload="small/path", algorithm="seq%uential", policy=policy,
+                       config=config, **extra)
+        for config in configs
+        for policy in policies
+        for extra in fields
+    ]
+
+
+class TestIdentityTemplates:
+    def test_cell_id_equals_reference_json(self):
+        cells = exotic_cells()
+        assert [c.cell_id() for c in cells] == [reference_cell_id(c) for c in cells]
+
+    def test_cell_ids_of_equals_per_cell_ids(self):
+        """Equal-comparing policies (4 == 4.0) serialise differently, so
+        ``cell_ids_of`` must not share one template between them."""
+        cells = exotic_cells()
+        assert cell_ids_of(cells) == [c.cell_id() for c in cells]
+        int_policy = replace(cells[0], policy=HorizonPolicy(multiplier=4))
+        float_policy = replace(cells[0], policy=HorizonPolicy(multiplier=4.0))
+        ids = cell_ids_of([int_policy, float_policy])
+        assert ids == [int_policy.cell_id(), float_policy.cell_id()]
+        assert ids[0] != ids[1]
+
+    def test_policy_to_dict_is_a_plain_field_dict(self):
+        policy = HorizonPolicy(multiplier=5, minimum=8, cap=99, explicit=None)
+        assert policy.to_dict() == asdict(policy)
+        assert list(policy.to_dict()) == ["multiplier", "minimum", "cap", "explicit"]
+        assert HorizonPolicy.from_dict(policy.to_dict()) == policy

@@ -17,7 +17,7 @@ import pytest
 
 import repro.core.trace as trace_mod
 from repro.algorithms.registry import get_scheduler
-from repro.analysis.engine import ExperimentSpec
+from repro.analysis.engine import ExperimentEngine, ExperimentSpec, HorizonPolicy
 from repro.analysis.runner import run_scheduler
 from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
 from repro.core.metrics import build_trace, evaluate_schedule
@@ -37,6 +37,59 @@ GOLDEN_SPEC_CELL_IDS = [
 GOLDEN_CELL_SEED = 5418252142010239343
 #: same capture for a spec whose backend (hashed since PR 1) is non-default.
 GOLDEN_BITMASK_CELL_ID = "54f7ef816f6185a2"
+
+#: Each further shape that reaches the hash, as golden_spec() overrides:
+#: a non-default HorizonPolicy, every non-default EngineConfig knob that is
+#: hashed (and ``batch``, which is not), workload_params, certify_bound and
+#: a grid point.
+HASHED_SHAPES = {
+    "policy": dict(horizon=None, policy=HorizonPolicy(multiplier=6, minimum=16, cap=4096)),
+    "policy_explicit": dict(horizon=None, policy=HorizonPolicy(explicit=96)),
+    "stream_chunk": dict(config=EngineConfig(horizon_mode="stream", chunk=128)),
+    "stream_jobs": dict(config=EngineConfig(stream_jobs=2)),
+    "window": dict(config=EngineConfig(window=256)),
+    "checkpoint_off": dict(config=EngineConfig(checkpoint=False)),
+    "workload_params": dict(workload_params={"seed": 3}),
+    "certify_off": dict(certify_bound=False),
+    "grid": dict(workloads=("grid",), grid={"scale": (1, 2)}),
+    "combined": dict(
+        policy=HorizonPolicy(multiplier=3),
+        certify_bound=False,
+        workload_params={"seed": 5},
+        config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=16,
+                            stream_jobs=2, window=64, checkpoint=False, batch=4),
+    ),
+}
+#: Ids of the HASHED_SHAPES specs, captured before cell ids were written
+#: from identity templates.  Do not update them to make a test pass.
+GOLDEN_SHAPE_CELL_IDS = {
+    "policy": ["9a6f809d49e32e32", "a3dc6bcea2f2c65d", "43f47ded11c20735", "be62780208b501d6"],
+    "policy_explicit": [
+        "2610eca7d475a2e5", "f50d9c69d3ba8afd", "76d1391b62c6bf34", "930315f700ca5f0d",
+    ],
+    "stream_chunk": [
+        "a3da6c4fc4b3e837", "79fdcc0e698bc8cf", "020a957d0f72d348", "70df05d2c544e764",
+    ],
+    "stream_jobs": [
+        "b9406b4c3109e192", "03e61cd62a39d3bf", "7d5492fb0e8ab24d", "0461599f603aa847",
+    ],
+    "window": ["6ef2ecba4b7e6e3c", "141f01924eb02615", "572dc034d4e6baa9", "6ccc14aaa9e414a2"],
+    "checkpoint_off": [
+        "64f0c7a9b0b7f7a8", "7118b5dd70e04fe6", "43fdeba525d767b5", "d15ab2555f6fbd07",
+    ],
+    "workload_params": [
+        "d7b86e623e876c80", "9660ee4ec9b20e86", "5ed138a7238f3ea1", "bf5af314424c75de",
+    ],
+    "certify_off": [
+        "cb2541dde257c58d", "e07c8f65a4bc7788", "8351e4e32d2b0e69", "0aa9401321d245d0",
+    ],
+    "grid": ["ef820315726a751e", "60dd94f2622d5bd6", "29557bb7cbd9a5c5", "83a2a3614edec3fe"],
+    "combined": [
+        "9e32cf194d68ff99", "7e6cb2f6938e4e5c", "1fde9799bf7ff68b", "142c1216573316a0",
+    ],
+}
+#: an ad-hoc graph run through the engine (its fingerprint is the graph_key).
+GOLDEN_ADHOC_CELL_ID = "132499970d5ae1f9"
 
 
 def golden_spec(**overrides):
@@ -208,6 +261,22 @@ class TestCellIdStability:
         windowed = golden_spec(config=EngineConfig(window=256)).cells()[0]
         assert windowed.cell_id() != base.cell_id()
         assert golden_spec(config=EngineConfig()).cells()[0].cell_id() == base.cell_id()
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_SHAPE_CELL_IDS))
+    def test_every_hashed_shape_matches_golden(self, shape):
+        cells = golden_spec(**HASHED_SHAPES[shape]).cells()
+        assert [c.cell_id() for c in cells] == GOLDEN_SHAPE_CELL_IDS[shape]
+
+    def test_adhoc_graph_key_matches_golden(self):
+        """An ad-hoc graph's content fingerprint reaches the id via the
+        engine (``graph_key``), so the pin goes through ``run``."""
+        graph = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 3)], name="adhoc-path")
+        spec = ExperimentSpec(
+            name="adhoc", workloads=("mine",), algorithms=("sequential",), horizon=32
+        )
+        records = ExperimentEngine().run(spec, workloads={"mine": graph})
+        assert [r.params["cell_id"] for r in records] == [GOLDEN_ADHOC_CELL_ID]
+
 
 # ---------------------------------------------------------------------------
 # spec serialization: new format + legacy payload migration

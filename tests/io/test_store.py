@@ -10,6 +10,7 @@ in ``tests/analysis/test_engine.py``.
 
 import json
 import logging
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,39 @@ class TestConcurrentWriters:
             assert proc.returncode == 0, err
         with ResultStore(store_path) as store:
             assert len(store) == 8
+
+
+class TestWarmReplayIsReadOnly:
+    def test_cached_replay_runs_while_another_connection_holds_the_write_lock(
+        self, tmp_path
+    ):
+        """A fully cached replay issues no write statement, so another
+        connection's open write transaction cannot block it.  Registering
+        the already-known campaign used to run ``INSERT OR IGNORE`` anyway,
+        which waited for the lock and then raised ``database is locked``."""
+        path = tmp_path / "s.sqlite"
+        spec = ExperimentSpec(
+            name="locked", workloads=("small/path",), algorithms=("sequential",),
+            seeds=(0, 1),
+        )
+        with ResultStore(path) as store:
+            ExperimentEngine(store=store).run(spec)
+        holder = sqlite3.connect(str(path), isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            with ResultStore(path, timeout=0.2) as store:
+                engine = ExperimentEngine(store=store)
+                engine.run(spec)
+                assert engine.stats["cached"] == 2 and engine.stats["executed"] == 0
+                # the lock is real: a new campaign name still has to write
+                with pytest.raises(sqlite3.OperationalError, match="locked"):
+                    store.register_campaign("another")
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        with ResultStore(path) as store:
+            store.register_campaign("another")
+            assert {c["name"] for c in store.campaigns()} == {"locked", "another"}
 
 
 class TestOpenStoreFacade:
