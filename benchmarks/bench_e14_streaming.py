@@ -52,8 +52,7 @@ Notes: the default scheduler is perfectly periodic (``degree-periodic``), so
 no schedule prefix is ever materialised — that is the fast path the 10⁸
 claim rests on.  The generator stage runs Phased Greedy, whose per-holiday
 cost is inherently Python-loop-bound, so its horizon is set in the millions
-rather than 10⁸; the pure-Python ``bitmask`` backend walks appearances bit
-by bit, so the full horizon is a numpy-backend benchmark.
+rather than 10⁸.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def society_workload():
     return get_workload("society", seed=BENCH_SEED, graph_name="society-60")
 
 
-def memory_budget(num_nodes: int, chunk: int, backend: str) -> int:
+def memory_budget(num_nodes: int, chunk: int) -> int:
     """The peak-allocation bound the streaming run must stay under.
 
     One resident chunk costs ``dense_trace_bytes(n, chunk)``; the builder,
@@ -105,7 +104,7 @@ def memory_budget(num_nodes: int, chunk: int, backend: str) -> int:
     floor.  The budget is deliberately generous — the point is that it is a
     function of the *chunk*, not of the horizon.
     """
-    return 10 * dense_trace_bytes(num_nodes, chunk, backend) + 48 * MIB
+    return 10 * dense_trace_bytes(num_nodes, chunk) + 48 * MIB
 
 
 def equivalence_check(graph, algorithm: str, backend: str, chunk: int):
@@ -146,8 +145,8 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
     serial stage remains the memory receipt.
     """
     scheduler = get_scheduler(algorithm)
-    budget = memory_budget(graph.num_nodes(), chunk, backend)
-    dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon, backend)
+    budget = memory_budget(graph.num_nodes(), chunk)
+    dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon)
 
     tracemalloc.start()
     start = time.perf_counter()
@@ -203,7 +202,7 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
     return record, outcome
 
 
-def generator_memory_budget(window: int, chunk: int, num_nodes: int, backend: str) -> int:
+def generator_memory_budget(window: int, chunk: int, num_nodes: int) -> int:
     """The peak-allocation bound of the windowed-generator stage.
 
     A function of the *window* and the *chunk* only — never the horizon:
@@ -213,7 +212,7 @@ def generator_memory_budget(window: int, chunk: int, num_nodes: int, backend: st
     usual interpreter floor.  An unwindowed Phased Greedy cache would grow
     linearly with the horizon instead.
     """
-    return 2 * window * 2048 + 10 * dense_trace_bytes(num_nodes, chunk, backend) + 48 * MIB
+    return 2 * window * 2048 + 10 * dense_trace_bytes(num_nodes, chunk) + 48 * MIB
 
 
 def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backend: str):
@@ -228,7 +227,7 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backen
     assert window >= chunk, "the window must cover at least one chunk"
     assert horizon >= 8 * window, "horizon must dwarf the window for the claim to mean anything"
     scheduler = PhasedGreedyScheduler(initial_coloring="greedy", window=window)
-    budget = generator_memory_budget(window, chunk, graph.num_nodes(), backend)
+    budget = generator_memory_budget(window, chunk, graph.num_nodes())
 
     tracemalloc.start()
     start = time.perf_counter()
@@ -344,7 +343,7 @@ def main(argv=None) -> int:
                         help="override the streamed horizon")
     parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
                         help=f"streaming chunk width (default {DEFAULT_CHUNK})")
-    parser.add_argument("--backend", default="auto", choices=["auto", "numpy", "bitmask"])
+    parser.add_argument("--backend", default="auto", choices=["auto", "numpy"])
     parser.add_argument("--algorithm", default="degree-periodic",
                         help="registered scheduler (default: degree-periodic, perfectly periodic)")
     parser.add_argument("--jobs", "--stream-jobs", type=int, default=2, dest="jobs",
@@ -359,12 +358,6 @@ def main(argv=None) -> int:
 
     backend = resolve_backend(args.backend)
     horizon = args.horizon or (QUICK_HORIZON if args.quick else FULL_HORIZON)
-    if backend == "bitmask" and horizon > 10_000_000:
-        print(
-            f"note: backend 'bitmask' walks appearances in pure Python; "
-            f"horizon {horizon:,} will be very slow (use --backend numpy)",
-            file=sys.stderr,
-        )
     graph = society_workload()
 
     eq_horizon = equivalence_check(graph, args.algorithm, backend, args.chunk)

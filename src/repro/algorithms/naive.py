@@ -107,16 +107,14 @@ def _fcfg_step(graph: ConflictGraph, rng: RngStream) -> Callable[[int], FrozenSe
     ``restore`` path so both sides draw the exact same wake-up sequence.
     One vector draw of ``n`` wake-up times per holiday, in node order, is
     the same stream (and leaves the same rng position) as ``n`` scalar
-    draws on either rng backend; the local-minimum test then runs over the
-    graph's index adjacency.
+    draws; the local-minimum test then runs over the graph's index
+    adjacency.
     """
     nodes = graph.nodes()
     adjacency = graph.index_adjacency()
 
     def step(holiday: int) -> FrozenSet[Node]:
-        wake = rng.random(len(nodes))
-        if not isinstance(wake, list):
-            wake = wake.tolist()
+        wake = rng.random(len(nodes)).tolist()
         happy = []  # the strict local minima of the wake-up times
         for i, row in enumerate(adjacency):
             mine = wake[i]

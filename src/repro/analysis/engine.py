@@ -621,7 +621,7 @@ def _auto_batch_size(num_nodes: int, horizon: int, config: EngineConfig) -> int:
     full-horizon in dense mode)."""
     engine = config.resolve(num_nodes, horizon)
     width = horizon if engine.mode != "stream" else min(engine.chunk or DEFAULT_CHUNK, horizon)
-    member_bytes = dense_trace_bytes(num_nodes, width, engine.backend)
+    member_bytes = dense_trace_bytes(num_nodes, width)
     return max(1, AUTO_STREAM_BYTES // max(1, member_bytes))
 
 
@@ -710,7 +710,6 @@ def _execute_batch(
         [schedule for _, schedule, _, _ in built],
         graph,
         horizon,
-        backend=engine_choice.backend,
         horizon_mode=engine_choice.mode,
         chunk=engine_choice.chunk,
     )

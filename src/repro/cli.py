@@ -128,9 +128,9 @@ def add_engine_args(
     parser.add_argument(
         "--backend",
         default=None,
-        choices=["auto", "numpy", "bitmask", "sets"],
+        choices=["auto", "numpy", "sets"],
         help=(
-            "trace engine: bit-parallel matrix (numpy/bitmask, auto-selected) "
+            "trace engine: the numpy bit-parallel matrix (auto, numpy) "
             "or the frozenset reference (sets)"
         ),
     )
@@ -225,17 +225,15 @@ def config_from_args(
     """Build the run's :class:`EngineConfig` from the shared engine flags.
 
     Flags the user typed override ``base`` (a spec's config, or the
-    defaults); the combination is validated up front — including backend
-    availability and the sets/stream conflict — so a bad flag dies with a
-    clean one-line error instead of a traceback in a worker process.
+    defaults); the combination is validated up front — including the
+    sets/stream conflict — so a bad flag dies with a clean one-line error
+    instead of a traceback in a worker process.
     """
     try:
         config = config_with(base, **engine_overrides(args))
         config.resolve()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc} (install the [fast] extra or use --backend bitmask)")
     return config
 
 

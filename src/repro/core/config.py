@@ -12,9 +12,12 @@ validated in one place, serializes to JSON (for spec files), and resolves
 
 The knobs:
 
-* ``backend`` — cell storage: ``"numpy"`` (dense bool matrix),
-  ``"bitmask"`` (pure-Python big ints), ``"sets"`` (the frozenset reference
-  engine), or ``"auto"`` (numpy when importable, bitmask otherwise).
+* ``backend`` — ``"numpy"`` (the bool-matrix trace engine) or ``"sets"``
+  (the frozenset reference engine).  ``"auto"`` resolves to ``"numpy"``,
+  and so does ``"bitmask"``: the legacy name of a removed pure-Python
+  engine, still accepted so old spec files and store rows load.  The config
+  keeps the spelling it was given, because ``backend`` is hashed into cell
+  ids (:meth:`EngineConfig.non_default`).
 * ``horizon_mode`` — horizon representation: one ``"dense"`` n × horizon
   matrix, ``"stream"``ed fixed-width chunks at O(n × chunk) memory, or
   ``"auto"`` (dense until the matrix would exceed
@@ -84,13 +87,14 @@ RESULT_KNOBS = frozenset({"backend", "horizon_mode", "chunk", "window"})
 #: cache at one parallelism serves every other.
 WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch", "checkpoint"})
 
-#: backends EngineConfig accepts: the matrix backends plus the frozenset
-#: reference engine (which is handled above the TraceMatrix layer).
+#: backends EngineConfig accepts: the spellings of the matrix backend plus
+#: the frozenset reference engine (which is handled above the TraceMatrix
+#: layer).
 CONFIG_BACKENDS = tuple(BACKENDS) + ("sets",)
 
 _SETS_STREAM_ERROR = (
     "backend='sets' (the frozenset reference) has no streaming mode; "
-    "use backend='auto'/'numpy'/'bitmask' with horizon_mode='stream', "
+    "use backend='auto'/'numpy' with horizon_mode='stream', "
     "or horizon_mode='dense'/'auto' with backend='sets'"
 )
 
@@ -112,11 +116,11 @@ def _check_count(name: str, value: object, *, optional: bool) -> None:
 class ResolvedEngine:
     """The concrete engine choice an :class:`EngineConfig` resolves to.
 
-    ``backend`` is always concrete (``"numpy"``, ``"bitmask"`` or
-    ``"sets"``).  ``mode`` is ``"dense"`` or ``"stream"`` when the graph
-    size and horizon were supplied to :meth:`EngineConfig.resolve` (or the
-    mode was explicit), ``"auto"`` when they weren't, and ``"sets"`` for the
-    reference engine — matching the ``horizon_mode`` stamp
+    ``backend`` is always concrete (``"numpy"`` or ``"sets"``).  ``mode`` is
+    ``"dense"`` or ``"stream"`` when the graph size and horizon were
+    supplied to :meth:`EngineConfig.resolve` (or the mode was explicit),
+    ``"auto"`` when they weren't, and ``"sets"`` for the reference engine —
+    matching the ``horizon_mode`` stamp
     :class:`~repro.analysis.runner.RunOutcome` records.
     """
 
@@ -177,11 +181,11 @@ class EngineConfig:
     ) -> ResolvedEngine:
         """Resolve ``"auto"`` values to the concrete engine for one run.
 
-        The backend always resolves (raising :class:`RuntimeError` when
-        ``"numpy"`` is requested but not installed); ``horizon_mode="auto"``
-        resolves by estimated dense-matrix size when ``num_nodes`` and
-        ``horizon`` are given and stays ``"auto"`` otherwise — so the CLI
-        can validate a config up front before any graph exists.
+        The backend always resolves (``"auto"`` and ``"bitmask"`` to
+        ``"numpy"``); ``horizon_mode="auto"`` resolves by estimated
+        dense-matrix size when ``num_nodes`` and ``horizon`` are given and
+        stays ``"auto"`` otherwise — so the CLI can validate a config up
+        front before any graph exists.
         """
         if self.backend == "sets":
             return ResolvedEngine(
@@ -189,7 +193,7 @@ class EngineConfig:
             )
         backend = resolve_backend(self.backend)
         if self.horizon_mode == "auto" and num_nodes is not None and horizon is not None:
-            mode = resolve_horizon_mode("auto", num_nodes, horizon, backend)
+            mode = resolve_horizon_mode("auto", num_nodes, horizon)
         else:
             mode = self.horizon_mode
         return ResolvedEngine(

@@ -20,11 +20,11 @@ the architecture notes):
   holiday, walked node by node through :class:`HappinessTrace`.  Exact but
   O(n·horizon) Python-object churn; kept as ground truth for differential
   testing.
-* ``backend="auto"`` / ``"numpy"`` / ``"bitmask"`` — the bit-parallel
-  :class:`~repro.core.trace.TraceMatrix` engine: the occupancy matrix is
-  built once (vectorized for periodic schedules) and every metric becomes a
-  run-length-encoding query over dense rows.  ``"auto"`` picks numpy when it
-  is installed and the pure-Python bitmask otherwise.
+* ``backend="numpy"`` (also spelled ``"auto"``, or ``"bitmask"`` in old
+  spec files) — the bit-parallel :class:`~repro.core.trace.TraceMatrix`
+  engine: the occupancy matrix is built once (vectorized for periodic
+  schedules) and every metric becomes a run-length-encoding query over
+  dense rows.
 
 Execution knobs — backend, horizon representation (``dense`` one n × horizon
 matrix vs ``stream``ed fixed-width chunks at ``O(n × chunk)`` memory), chunk
@@ -116,10 +116,9 @@ def build_trace(
     if engine.mode == "stream":
         return StreamedTrace(
             schedule, graph, horizon,
-            backend=engine.backend, chunk=engine.chunk, jobs=engine.stream_jobs,
-            checkpoint=engine.checkpoint,
+            chunk=engine.chunk, jobs=engine.stream_jobs, checkpoint=engine.checkpoint,
         )
-    return TraceMatrix.from_schedule(schedule, graph, horizon, backend=engine.backend)
+    return TraceMatrix.from_schedule(schedule, graph, horizon)
 
 
 def materialize(schedule: ScheduleLike, graph: ConflictGraph, horizon: int) -> List[FrozenSet[Node]]:
@@ -384,7 +383,7 @@ def evaluate_schedule(
     """Run the full metric suite over a schedule prefix and return a report.
 
     ``config`` selects the evaluation engine: ``EngineConfig.backend``
-    (``"auto"``/``"numpy"``/``"bitmask"`` for the bit-parallel trace,
+    (``"auto"``/``"numpy"`` for the bit-parallel trace,
     ``"sets"`` for the frozenset reference) and ``EngineConfig.horizon_mode``
     (``"dense"``/``"stream"``/``"auto"``).  Passing a pre-built ``trace``
     skips trace construction entirely so :class:`repro.api.Session` and the

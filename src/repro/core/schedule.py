@@ -80,19 +80,18 @@ class Schedule(ABC):
         """Short human-readable description used by benchmark tables."""
         return type(self).__name__
 
-    def trace(self, horizon: int, backend: str = "auto") -> "TraceMatrix":
+    def trace(self, horizon: int) -> "TraceMatrix":
         """Materialise the first ``horizon`` holidays as a dense occupancy matrix.
 
         This is the bit-parallel counterpart of :meth:`prefix`: one
         :class:`~repro.core.trace.TraceMatrix` built once and shared by the
         metric suite and the validator.  Subclasses get vectorized fast paths
         automatically (periodic schedules never materialise a single happy
-        set).  ``backend`` is ``"auto"`` (numpy when available, else the
-        pure-Python bitmask), ``"numpy"`` or ``"bitmask"``.
+        set).
         """
         from repro.core.trace import TraceMatrix
 
-        return TraceMatrix.from_schedule(self, self.graph, horizon, backend=backend)
+        return TraceMatrix.from_schedule(self, self.graph, horizon)
 
 
 @dataclass(frozen=True)

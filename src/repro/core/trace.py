@@ -9,30 +9,19 @@ which caps practical horizons at a few tens of thousands.
 
 :class:`TraceMatrix` stores the same information as a dense boolean matrix
 with one row per node and one column per holiday, built **once** per run and
-shared by the metric suite, the validator and the benchmark harness.  Two
-storage backends implement the matrix:
+shared by the metric suite, the validator and the benchmark harness.  The
+matrix is a ``numpy.ndarray`` of ``bool_``: rows are contiguous byte
+vectors, so gap/run-length queries become ``flatnonzero``/``diff`` calls and
+edge collision tests become elementwise ``&`` reductions.  Every query is
+differentially tested against the ``frozenset`` reference
+(``backend="sets"`` throughout :mod:`repro.core.metrics`), which remains the
+semantic ground truth.  ``"bitmask"`` survives only as a legacy spelling of
+the numpy backend (:func:`resolve_backend`), so old spec files still load.
 
-``numpy``
-    A ``numpy.ndarray`` of ``bool_`` — rows are contiguous byte vectors, so
-    gap/run-length queries become ``flatnonzero``/``diff`` calls and edge
-    collision tests become elementwise ``&`` reductions.  Selected by
-    default whenever :mod:`numpy` is importable.
-
-``bitmask``
-    One arbitrary-precision Python integer per node, bit ``t - 1`` set when
-    the node is happy at holiday ``t``.  CPython's big-int machinery gives
-    64-bit-word-parallel ``&``/``|``/``popcount`` without any third-party
-    dependency; this is the fallback that keeps numpy strictly optional.
-
-Both backends expose identical query methods and are differentially tested
-against the ``frozenset`` reference (``backend="sets"`` throughout
-:mod:`repro.core.metrics`), which remains the semantic ground truth.
-
-Memory trade-off — dense vs. stream: a dense numpy trace costs ``n ×
-horizon`` bytes (numpy stores one byte per bool) and a dense bitmask trace
-``n × horizon / 8`` bytes, so a 60-node workload at horizon 10⁶ is ~60 MB /
-~7.5 MB respectively; every consumer reads every cell at least once, so
-below that scale dense is the right call and remains the default.  Dense
+Memory trade-off — dense vs. stream: a dense trace costs ``n × horizon``
+bytes (numpy stores one byte per bool), so a 60-node workload at horizon
+10⁶ is ~60 MB; every consumer reads every cell at least once, so below that
+scale dense is the right call and remains the default.  Dense
 stops scaling around horizon 10⁷–10⁸ (the same 60-node workload at 10⁸
 would need ~6 GB), which is what the **streaming mode** removes:
 :class:`TraceStream` yields the same occupancy information as fixed-width
@@ -47,8 +36,8 @@ Construction fast paths (see :meth:`TraceMatrix.from_schedule`):
 
 * :class:`~repro.core.schedule.PeriodicSchedule` — rows are computed directly
   from the ``(period, phase)`` table, grouping nodes by period so each
-  distinct period costs one ``arange % τ`` (numpy) or one doubling-fill
-  (bitmask); **no happy set is ever constructed**.
+  distinct period costs one ``arange % τ``; **no happy set is ever
+  constructed**.
 * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle of
   columns is filled and then tiled/repeated out to the horizon.
 * everything else (including online :class:`~repro.core.schedule.GeneratorSchedule`
@@ -93,9 +82,8 @@ schedules that differ only in the scheduler over the *same* graph and
 horizon, and per-cell execution pays the construction dispatch, the summary
 reductions and the per-edge legality AND once per schedule.  A
 :class:`TraceBatch` stacks ``S`` compatible schedules into one ``S × n ×
-horizon`` boolean tensor (numpy) or ``S`` lists of bitmask rows (pure
-Python), built through the same periodic/cyclic fast paths broadcast across
-the schedule axis — all rows with the same ``(period, phase)`` are filled
+horizon`` boolean tensor, built through the same periodic/cyclic fast
+paths broadcast across the schedule axis — all rows with the same ``(period, phase)`` are filled
 from one shared expansion regardless of which schedule they belong to.  One
 stacked :meth:`~TraceBatch.scan` then answers the full summary query API
 for every member at once: gap/run-length statistics come from a single
@@ -118,6 +106,8 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import (
     ExplicitSchedule,
@@ -128,11 +118,6 @@ from repro.core.schedule import (
 )
 
 _LOG = logging.getLogger(__name__)
-
-try:  # numpy is an optional extra (``pip install .[fast]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 __all__ = [
     "TraceMatrix",
@@ -145,14 +130,16 @@ __all__ = [
     "AUTO_STREAM_BYTES",
     "dense_trace_bytes",
     "materialize_prefix",
-    "numpy_available",
     "resolve_backend",
     "resolve_horizon_mode",
 ]
 
-#: Backends accepted by :func:`resolve_backend`.  ``"sets"`` is *not* a
-#: :class:`TraceMatrix` backend — it names the frozenset reference path and is
-#: handled by the callers in :mod:`repro.core.metrics` / ``validation``.
+#: Spellings :func:`resolve_backend` accepts for the one matrix backend:
+#: ``"bitmask"`` is the legacy name of a removed pure-Python engine, kept so
+#: spec files and store rows that name it still load.  ``"sets"`` is *not*
+#: a :class:`TraceMatrix` backend — it names the frozenset reference path
+#: and is handled by the callers in :mod:`repro.core.metrics` /
+#: ``validation``.
 BACKENDS = ("auto", "numpy", "bitmask")
 
 #: Horizon representations accepted by :func:`resolve_horizon_mode`:
@@ -183,37 +170,28 @@ _SWEEP_BLOCK_CELLS = 1 << 22
 ScheduleOrSets = Union[Schedule, Sequence[Iterable[Node]]]
 
 
-def dense_trace_bytes(num_nodes: int, horizon: int, backend: str) -> int:
-    """Estimated resident size of a dense trace (one byte per cell under
-    numpy, one bit per cell under bitmask)."""
-    cells = num_nodes * horizon
-    return cells if backend == "numpy" else cells // 8
+def dense_trace_bytes(num_nodes: int, horizon: int) -> int:
+    """Resident size of a dense trace: numpy stores one byte per cell."""
+    return num_nodes * horizon
 
 
-def resolve_horizon_mode(mode: str, num_nodes: int, horizon: int, backend: str) -> str:
+def resolve_horizon_mode(mode: str, num_nodes: int, horizon: int) -> str:
     """Normalise a horizon mode, resolving ``"auto"`` by estimated memory.
 
     ``"dense"`` and ``"stream"`` pass through unchanged; ``"auto"`` picks
-    ``"stream"`` exactly when the dense matrix
-    (:func:`dense_trace_bytes`, which depends on the backend's cell width)
+    ``"stream"`` exactly when the dense matrix (:func:`dense_trace_bytes`)
     would exceed :data:`AUTO_STREAM_BYTES`, so every horizon a default
     policy can choose stays dense and pre-streaming numbers never move.
-    ``backend`` must already be resolved (``"numpy"`` or ``"bitmask"``);
-    this is the one place the ``mode`` string is validated, shared by the
+    This is the one place the ``mode`` string is validated, shared by the
     metric, validation and runner entry points.
     """
     if mode not in HORIZON_MODES:
         raise ValueError(f"unknown horizon mode {mode!r}; expected one of {HORIZON_MODES}")
     if mode == "auto":
-        if dense_trace_bytes(num_nodes, horizon, backend) > AUTO_STREAM_BYTES:
+        if dense_trace_bytes(num_nodes, horizon) > AUTO_STREAM_BYTES:
             return "stream"
         return "dense"
     return mode
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be used in this interpreter."""
-    return _np is not None
 
 
 def materialize_prefix(schedule: ScheduleOrSets, horizon: int) -> Sequence[FrozenSet[Node]]:
@@ -231,17 +209,14 @@ def materialize_prefix(schedule: ScheduleOrSets, horizon: int) -> Sequence[Froze
 
 
 def resolve_backend(backend: str) -> str:
-    """Normalise a backend name, resolving ``"auto"`` to the fastest available."""
-    if backend == "auto":
-        return "numpy" if _np is not None else "bitmask"
-    if backend not in ("numpy", "bitmask"):
+    """Normalise a matrix backend name: every spelling in :data:`BACKENDS`
+    names the numpy engine, the only one there is."""
+    if backend not in BACKENDS:
         raise ValueError(
             f"unknown trace backend {backend!r}; expected one of {BACKENDS} (or 'sets' "
             f"at the metrics/validation layer)"
         )
-    if backend == "numpy" and _np is None:
-        raise RuntimeError("trace backend 'numpy' requested but numpy is not installed")
-    return backend
+    return "numpy"
 
 
 class TraceMatrix:
@@ -254,7 +229,6 @@ class TraceMatrix:
     Attributes:
         graph: the conflict graph the trace was observed on.
         horizon: number of holidays covered (columns).
-        backend: resolved storage backend, ``"numpy"`` or ``"bitmask"``.
         unknown: ``(holiday, node)`` pairs scheduled by the source but absent
             from the graph — impossible for :class:`Schedule` sources that
             validate, possible for raw sequences; consumed by the validator.
@@ -267,20 +241,16 @@ class TraceMatrix:
         self,
         graph: ConflictGraph,
         horizon: int,
-        backend: str,
-        rows_numpy=None,
-        rows_bitmask: Optional[List[int]] = None,
+        matrix,
         unknown: Optional[List[Tuple[int, Node]]] = None,
     ) -> None:
         self.graph = graph
         self.horizon = horizon
-        self.backend = backend
         self._order: List[Node] = graph.nodes()
         self._index: Dict[Node, int] = {p: i for i, p in enumerate(self._order)}
-        self._matrix = rows_numpy
-        self._bits: List[int] = rows_bitmask if rows_bitmask is not None else []
+        self._matrix = matrix
         self.unknown: List[Tuple[int, Node]] = unknown or []
-        # numpy bulk queries: (counts, first, last, dmax, dmin) per row
+        # bulk queries: (counts, first, last, dmax, dmin) per row
         self._summary = None
 
     # -- construction --------------------------------------------------------------
@@ -290,7 +260,6 @@ class TraceMatrix:
         schedule: ScheduleOrSets,
         graph: ConflictGraph,
         horizon: int,
-        backend: str = "auto",
     ) -> "TraceMatrix":
         """Observe ``horizon`` holidays of ``schedule`` into a new matrix.
 
@@ -299,16 +268,15 @@ class TraceMatrix:
         """
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon!r}")
-        backend = resolve_backend(backend)
         # The periodic fast path reads the assignment table directly, so it is
         # only valid when the table covers exactly the nodes being observed;
         # evaluating a schedule against a different graph (extra or missing
         # nodes) goes through the generic set fill, which tracks unknowns.
         if isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes()):
-            return cls._from_periodic(schedule, graph, horizon, backend)
+            return cls._from_periodic(schedule, graph, horizon)
         if isinstance(schedule, ExplicitSchedule) and schedule.is_periodic() and 0 < len(schedule) < horizon:
-            return cls._from_cyclic_explicit(schedule, graph, horizon, backend)
-        return cls._from_sets(materialize_prefix(schedule, horizon), graph, horizon, backend)
+            return cls._from_cyclic_explicit(schedule, graph, horizon)
+        return cls._from_sets(materialize_prefix(schedule, horizon), graph, horizon)
 
     @classmethod
     def _from_periodic(
@@ -316,14 +284,13 @@ class TraceMatrix:
         schedule: PeriodicSchedule,
         graph: ConflictGraph,
         horizon: int,
-        backend: str,
         start: int = 1,
     ) -> "TraceMatrix":
         """Vectorized build from a ``{node: (period, phase)}`` table.
 
         Nodes are grouped by period so each distinct period τ is expanded
-        exactly once — one ``arange % τ`` under numpy, one doubling-fill per
-        (τ, phase) under bitmask.  No per-holiday set is constructed.
+        exactly once, by one ``arange % τ``.  No per-holiday set is
+        constructed.
 
         ``start`` shifts the observation window: column ``j`` covers holiday
         ``start + j``, which is how :class:`TraceStream` tiles the table
@@ -335,33 +302,22 @@ class TraceMatrix:
             slot = schedule.assignments[p]
             by_period.setdefault(slot.period, []).append((i, slot.phase))
 
-        if backend == "numpy":
-            matrix = _np.zeros((len(order), horizon), dtype=_np.bool_)
-            holidays = _np.arange(start, start + horizon, dtype=_np.int64)
-            for period, members in by_period.items():
-                mod = holidays % period
-                rows = _np.fromiter((i for i, _ in members), dtype=_np.intp, count=len(members))
-                phases = _np.fromiter((ph for _, ph in members), dtype=_np.int64, count=len(members))
-                matrix[rows] = mod[_np.newaxis, :] == phases[:, _np.newaxis]
-            return cls(graph, horizon, backend, rows_numpy=matrix)
-
-        bits = [0] * len(order)
-        pattern_cache: Dict[Tuple[int, int], int] = {}
+        matrix = _np.zeros((len(order), horizon), dtype=_np.bool_)
+        holidays = _np.arange(start, start + horizon, dtype=_np.int64)
         for period, members in by_period.items():
-            for i, phase in members:
-                key = (period, phase)
-                if key not in pattern_cache:
-                    pattern_cache[key] = _periodic_bitmask_window(period, phase, start, horizon)
-                bits[i] = pattern_cache[key]
-        return cls(graph, horizon, backend, rows_bitmask=bits)
+            mod = holidays % period
+            rows = _np.fromiter((i for i, _ in members), dtype=_np.intp, count=len(members))
+            phases = _np.fromiter((ph for _, ph in members), dtype=_np.int64, count=len(members))
+            matrix[rows] = mod[_np.newaxis, :] == phases[:, _np.newaxis]
+        return cls(graph, horizon, matrix)
 
     @classmethod
     def _from_cyclic_explicit(
-        cls, schedule: ExplicitSchedule, graph: ConflictGraph, horizon: int, backend: str
+        cls, schedule: ExplicitSchedule, graph: ConflictGraph, horizon: int
     ) -> "TraceMatrix":
         """Fill one cycle of columns, then tile it out to the horizon."""
         cycle = [schedule.happy_set(t) for t in range(1, len(schedule) + 1)]
-        base = cls._from_sets(cycle, graph, len(cycle), backend)
+        base = cls._from_sets(cycle, graph, len(cycle))
         reps = -(-horizon // len(cycle))  # ceil division
         unknown = sorted(
             (
@@ -372,71 +328,55 @@ class TraceMatrix:
             ),
             key=lambda pair: pair[0],
         )
-        if backend == "numpy":
-            matrix = _np.tile(base._matrix, (1, reps))[:, :horizon]
-            return cls(graph, horizon, backend, rows_numpy=_np.ascontiguousarray(matrix),
-                       unknown=unknown)
-        mask = (1 << horizon) - 1
-        bits = [_repeat_bitmask(row, len(cycle), reps) & mask for row in base._bits]
-        return cls(graph, horizon, backend, rows_bitmask=bits, unknown=unknown)
+        matrix = _np.tile(base._matrix, (1, reps))[:, :horizon]
+        return cls(graph, horizon, _np.ascontiguousarray(matrix), unknown=unknown)
 
     @classmethod
     def _from_sets(
-        cls, sets: Sequence[FrozenSet[Node]], graph: ConflictGraph, horizon: int, backend: str
+        cls, sets: Sequence[FrozenSet[Node]], graph: ConflictGraph, horizon: int
     ) -> "TraceMatrix":
         """Batched column fill from a materialised prefix of happy sets."""
         order = graph.nodes()
         index = {p: i for i, p in enumerate(order)}
         unknown: List[Tuple[int, Node]] = []
-        if backend == "numpy":
-            # Schedules usually repeat happy sets heavily (periodic phases,
-            # greedy cycles), and frozensets cache their hash — so dedup the
-            # columns, fill one column per *distinct* set and assemble the
-            # matrix with one vectorized gather.  A small sample decides
-            # whether dedup pays: randomized schedules with (almost) all
-            # columns distinct go through a direct scatter instead.
-            sample = sets[:256]
-            if len(sample) >= 64 and len(set(sample)) > 0.9 * len(sample):
-                matrix = _np.zeros((len(order), horizon), dtype=_np.bool_)
-                _scatter_columns(
-                    matrix, enumerate(sets), index,
-                    on_unknown=lambda j, p: unknown.append((j + 1, p)),
-                )
-                return cls(graph, horizon, backend, rows_numpy=matrix, unknown=unknown)
-
-            ids: Dict[FrozenSet[Node], int] = {}
-            uniques: List[FrozenSet[Node]] = []
-            col_ids: List[int] = []
-            for happy in sets:
-                fs = happy if isinstance(happy, frozenset) else frozenset(happy)
-                sid = ids.get(fs)
-                if sid is None:
-                    sid = len(uniques)
-                    ids[fs] = sid
-                    uniques.append(fs)
-                col_ids.append(sid)
-            distinct = _np.zeros((len(order), max(len(uniques), 1)), dtype=_np.bool_)
-            unknown_members: List[List[Node]] = [[] for _ in uniques]
+        # Schedules usually repeat happy sets heavily (periodic phases,
+        # greedy cycles), and frozensets cache their hash — so dedup the
+        # columns, fill one column per *distinct* set and assemble the
+        # matrix with one vectorized gather.  A small sample decides
+        # whether dedup pays: randomized schedules with (almost) all
+        # columns distinct go through a direct scatter instead.
+        sample = sets[:256]
+        if len(sample) >= 64 and len(set(sample)) > 0.9 * len(sample):
+            matrix = _np.zeros((len(order), horizon), dtype=_np.bool_)
             _scatter_columns(
-                distinct, enumerate(uniques), index,
-                on_unknown=lambda sid, p: unknown_members[sid].append(p),
+                matrix, enumerate(sets), index,
+                on_unknown=lambda j, p: unknown.append((j + 1, p)),
             )
-            if any(unknown_members):
-                for j, sid in enumerate(col_ids):
-                    for p in unknown_members[sid]:
-                        unknown.append((j + 1, p))
-            matrix = distinct[:, _np.asarray(col_ids, dtype=_np.intp)]
-            return cls(graph, horizon, backend, rows_numpy=matrix, unknown=unknown)
-        buffers = [bytearray((horizon + 7) // 8) for _ in order]
-        for j, happy in enumerate(sets):
-            for p in happy:
-                i = index.get(p)
-                if i is None:
+            return cls(graph, horizon, matrix, unknown=unknown)
+
+        ids: Dict[FrozenSet[Node], int] = {}
+        uniques: List[FrozenSet[Node]] = []
+        col_ids: List[int] = []
+        for happy in sets:
+            fs = happy if isinstance(happy, frozenset) else frozenset(happy)
+            sid = ids.get(fs)
+            if sid is None:
+                sid = len(uniques)
+                ids[fs] = sid
+                uniques.append(fs)
+            col_ids.append(sid)
+        distinct = _np.zeros((len(order), max(len(uniques), 1)), dtype=_np.bool_)
+        unknown_members: List[List[Node]] = [[] for _ in uniques]
+        _scatter_columns(
+            distinct, enumerate(uniques), index,
+            on_unknown=lambda sid, p: unknown_members[sid].append(p),
+        )
+        if any(unknown_members):
+            for j, sid in enumerate(col_ids):
+                for p in unknown_members[sid]:
                     unknown.append((j + 1, p))
-                else:
-                    buffers[i][j >> 3] |= 1 << (j & 7)
-        bits = [int.from_bytes(buf, "little") for buf in buffers]
-        return cls(graph, horizon, backend, rows_bitmask=bits, unknown=unknown)
+        matrix = distinct[:, _np.asarray(col_ids, dtype=_np.intp)]
+        return cls(graph, horizon, matrix, unknown=unknown)
 
     # -- per-node queries ----------------------------------------------------------
     def row_index(self, node: Node) -> int:
@@ -445,15 +385,11 @@ class TraceMatrix:
 
     def appearances(self, node: Node) -> List[int]:
         """Sorted 1-indexed holidays at which ``node`` is happy."""
-        if self.backend == "numpy":
-            return (_np.flatnonzero(self._matrix[self._index[node]]) + 1).tolist()
-        return _bit_positions(self._bits[self._index[node]], offset=1)
+        return (_np.flatnonzero(self._matrix[self._index[node]]) + 1).tolist()
 
     def count(self, node: Node) -> int:
         """Number of holidays within the horizon at which ``node`` is happy."""
-        if self.backend == "numpy":
-            return int(self._matrix[self._index[node]].sum())
-        return _popcount(self._bits[self._index[node]])
+        return int(self._matrix[self._index[node]].sum())
 
     def gaps(self, node: Node) -> List[int]:
         """Unhappiness interval lengths, identical in semantics to
@@ -470,18 +406,16 @@ class TraceMatrix:
 
     def mul(self, node: Node) -> int:
         """Maximum unhappiness length of ``node`` within the horizon."""
-        if self.backend == "numpy":
-            row = self._matrix[self._index[node]]
-            idx = _np.flatnonzero(row)
-            if idx.size == 0:
-                return self.horizon
-            # run-length encoding of the zero runs via diff over the padded
-            # appearance positions: [-1] + idx + [horizon]
-            before = int(idx[0])
-            after = self.horizon - 1 - int(idx[-1])
-            between = int(_np.diff(idx).max() - 1) if idx.size > 1 else 0
-            return max(before, after, between)
-        return max(self.gaps(node))
+        row = self._matrix[self._index[node]]
+        idx = _np.flatnonzero(row)
+        if idx.size == 0:
+            return self.horizon
+        # run-length encoding of the zero runs via diff over the padded
+        # appearance positions: [-1] + idx + [horizon]
+        before = int(idx[0])
+        after = self.horizon - 1 - int(idx[-1])
+        between = int(_np.diff(idx).max() - 1) if idx.size > 1 else 0
+        return max(before, after, between)
 
     def appearance_diffs(self, node: Node) -> List[int]:
         """Differences between consecutive appearances (empty if < 2)."""
@@ -495,38 +429,30 @@ class TraceMatrix:
         requires the full O(appearances) diff list, which is what lets the
         streaming engine answer the same question at bounded memory.
         """
-        if self.backend == "numpy":
-            idx = _np.flatnonzero(self._matrix[self._index[node]])
-            if idx.size < 2:
-                return []
-            return _np.unique(_np.diff(idx)).tolist()
-        return sorted(set(self.appearance_diffs(node)))
+        idx = _np.flatnonzero(self._matrix[self._index[node]])
+        if idx.size < 2:
+            return []
+        return _np.unique(_np.diff(idx)).tolist()
 
     def observed_period(self, node: Node) -> Optional[int]:
         """The constant inter-appearance difference, or None (matches the
         reference: fewer than two appearances is "insufficient evidence")."""
-        if self.backend == "numpy":
-            idx = _np.flatnonzero(self._matrix[self._index[node]])
-            if idx.size < 2:
-                return None
-            diffs = _np.diff(idx)
-            first = int(diffs[0])
-            return first if bool((diffs == first).all()) else None
-        diffs = self.appearance_diffs(node)
-        if not diffs:
+        idx = _np.flatnonzero(self._matrix[self._index[node]])
+        if idx.size < 2:
             return None
-        first = diffs[0]
-        return first if all(d == first for d in diffs) else None
+        diffs = _np.diff(idx)
+        first = int(diffs[0])
+        return first if bool((diffs == first).all()) else None
 
     def happiness_rate(self, node: Node) -> float:
         """Fraction of observed holidays at which ``node`` was happy."""
         return self.count(node) / self.horizon
 
     # -- bulk queries --------------------------------------------------------------
-    # Under numpy these answer from one whole-matrix sweep rather than a few
-    # numpy calls per node: each such call releases the GIL, so per-node
-    # loops in concurrent threads (the serve handlers) hand it back and
-    # forth across CPUs hundreds of times per query.
+    # These answer from one whole-matrix sweep rather than a few numpy calls
+    # per node: each such call releases the GIL, so per-node loops in
+    # concurrent threads (the serve handlers) hand it back and forth across
+    # CPUs hundreds of times per query.
     def _numpy_summary(self):
         if self._summary is None:
             step = max(1, _SWEEP_BLOCK_CELLS // self.horizon)
@@ -539,11 +465,11 @@ class TraceMatrix:
 
     def muls(self) -> Dict[Node, int]:
         """``{node: mul(node)}`` for every node, in graph order."""
-        if self.backend == "numpy" and self._order:
-            counts, first, last, dmax, _ = self._numpy_summary()
-            muls = _muls_numpy(counts, first, last, dmax, self.horizon)
-            return dict(zip(self._order, muls.tolist()))
-        return {p: self.mul(p) for p in self._order}
+        if not self._order:
+            return {}
+        counts, first, last, dmax, _ = self._numpy_summary()
+        muls = _muls_numpy(counts, first, last, dmax, self.horizon)
+        return dict(zip(self._order, muls.tolist()))
 
     def all_gaps(self) -> Dict[Node, List[int]]:
         """``{node: gap list}`` for every node."""
@@ -551,32 +477,27 @@ class TraceMatrix:
 
     def observed_periods(self) -> Dict[Node, Optional[int]]:
         """``{node: observed period or None}`` for every node."""
-        if self.backend == "numpy" and self._order:
-            counts, _, _, dmax, dmin = self._numpy_summary()
-            periodic = ((counts >= 2) & (dmax == dmin)).tolist()
-            return {
-                p: d if periodic[i] else None
-                for i, (p, d) in enumerate(zip(self._order, dmax.tolist()))
-            }
-        return {p: self.observed_period(p) for p in self._order}
+        if not self._order:
+            return {}
+        counts, _, _, dmax, dmin = self._numpy_summary()
+        periodic = ((counts >= 2) & (dmax == dmin)).tolist()
+        return {
+            p: d if periodic[i] else None
+            for i, (p, d) in enumerate(zip(self._order, dmax.tolist()))
+        }
 
     def happiness_rates(self) -> Dict[Node, float]:
         """``{node: happiness rate}`` for every node."""
-        if self.backend == "numpy" and len(self._order) > 0:
-            counts = self._matrix.sum(axis=1)
-            return {p: int(counts[i]) / self.horizon for i, p in enumerate(self._order)}
-        return {p: self.happiness_rate(p) for p in self._order}
+        counts = self._matrix.sum(axis=1)
+        return {p: int(counts[i]) / self.horizon for i, p in enumerate(self._order)}
 
     # -- column / edge queries -----------------------------------------------------
     def happy_set(self, holiday: int) -> FrozenSet[Node]:
         """The recorded happy set at ``holiday`` (known nodes only)."""
         if not (1 <= holiday <= self.horizon):
             raise ValueError(f"holiday {holiday} outside recorded horizon 1..{self.horizon}")
-        if self.backend == "numpy":
-            col = _np.flatnonzero(self._matrix[:, holiday - 1])
-            return frozenset(self._order[i] for i in col)
-        bit = 1 << (holiday - 1)
-        return frozenset(p for i, p in enumerate(self._order) if self._bits[i] & bit)
+        col = _np.flatnonzero(self._matrix[:, holiday - 1])
+        return frozenset(self._order[i] for i in col)
 
     def edge_collisions(self, u: Node, v: Node) -> List[int]:
         """Holidays at which ``u`` and ``v`` are simultaneously happy.
@@ -585,10 +506,8 @@ class TraceMatrix:
         the two rows replaces a per-holiday membership scan.
         """
         i, j = self._index[u], self._index[v]
-        if self.backend == "numpy":
-            both = self._matrix[i] & self._matrix[j]
-            return (_np.flatnonzero(both) + 1).tolist()
-        return _bit_positions(self._bits[i] & self._bits[j], offset=1)
+        both = self._matrix[i] & self._matrix[j]
+        return (_np.flatnonzero(both) + 1).tolist()
 
     def conflicting_holidays(
         self, edges: Optional[Iterable[Tuple[Node, Node]]] = None
@@ -596,15 +515,10 @@ class TraceMatrix:
         """``{holiday: [(u, v), ...]}`` over ``edges`` (default: the graph's
         edges) with collisions, each holiday's pairs in ``edges`` order.
 
-        Under numpy one fancy-indexed AND covers a block of edges at once.
+        One fancy-indexed AND covers a block of edges at once.
         """
         pairs = list(self.graph.edges() if edges is None else edges)
         out: Dict[int, List[Tuple[Node, Node]]] = {}
-        if self.backend != "numpy":
-            for u, v in pairs:
-                for t in self.edge_collisions(u, v):
-                    out.setdefault(t, []).append((u, v))
-            return out
         us = _np.asarray([self._index[u] for u, _ in pairs], dtype=_np.intp)
         vs = _np.asarray([self._index[v] for _, v in pairs], dtype=_np.intp)
         step = max(1, _SWEEP_BLOCK_CELLS // self.horizon)
@@ -647,7 +561,6 @@ class TraceStream:
         graph: ConflictGraph,
         horizon: int,
         chunk: Optional[int] = None,
-        backend: str = "auto",
     ) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon!r}")
@@ -657,7 +570,6 @@ class TraceStream:
         self.schedule = schedule
         self.graph = graph
         self.horizon = horizon
-        self.backend = resolve_backend(backend)
         self._cycle: Optional[TraceMatrix] = None
         if isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes()):
             self._kind = "periodic"
@@ -685,14 +597,10 @@ class TraceStream:
     def block(self, start: int, width: int) -> TraceMatrix:
         """Build the single block covering holidays ``start..start+width-1``."""
         if self._kind == "periodic":
-            return TraceMatrix._from_periodic(
-                self.schedule, self.graph, width, self.backend, start=start
-            )
+            return TraceMatrix._from_periodic(self.schedule, self.graph, width, start=start)
         if self._kind == "cyclic":
             return self._cyclic_block(start, width)
-        return TraceMatrix._from_sets(
-            self._window_sets(start, width), self.graph, width, self.backend
-        )
+        return TraceMatrix._from_sets(self._window_sets(start, width), self.graph, width)
 
     def _window_sets(self, start: int, width: int) -> Sequence[FrozenSet[Node]]:
         if isinstance(self.schedule, Schedule):
@@ -704,7 +612,7 @@ class TraceStream:
         if self._cycle is None:
             length = len(self.schedule)
             cycle = [self.schedule.happy_set(t) for t in range(1, length + 1)]
-            self._cycle = TraceMatrix._from_sets(cycle, self.graph, length, self.backend)
+            self._cycle = TraceMatrix._from_sets(cycle, self.graph, length)
         return self._cycle
 
     def _cyclic_block(self, start: int, width: int) -> TraceMatrix:
@@ -719,14 +627,9 @@ class TraceStream:
                 unknown.append((t - start + 1, p))
                 t += length
         unknown.sort(key=lambda pair: pair[0])
-        if self.backend == "numpy":
-            cols = (offset + _np.arange(width, dtype=_np.intp)) % length
-            block = _np.ascontiguousarray(base._matrix[:, cols])
-            return TraceMatrix(self.graph, width, self.backend, rows_numpy=block, unknown=unknown)
-        reps = -(-(offset + width) // length)
-        mask = (1 << width) - 1
-        bits = [(_repeat_bitmask(row, length, reps) >> offset) & mask for row in base._bits]
-        return TraceMatrix(self.graph, width, self.backend, rows_bitmask=bits, unknown=unknown)
+        cols = (offset + _np.arange(width, dtype=_np.intp)) % length
+        block = _np.ascontiguousarray(base._matrix[:, cols])
+        return TraceMatrix(self.graph, width, block, unknown=unknown)
 
 
 class _NodeStreamStats:
@@ -797,7 +700,6 @@ class _NodeStreamStats:
 def _fold_summary_block(
     start: int,
     block: TraceMatrix,
-    backend: str,
     stats: List[_NodeStreamStats],
     edge_rows: Sequence[Tuple[int, int]],
     collisions: List[List[int]],
@@ -807,53 +709,44 @@ def _fold_summary_block(
 
     This is the per-chunk body shared verbatim by the serial summary pass
     and the parallel block workers, so both produce identical state by
-    construction.  The numpy arm inlines :meth:`_NodeStreamStats.absorb`
-    over index arrays instead of Python position lists.
+    construction.  It inlines :meth:`_NodeStreamStats.absorb` over index
+    arrays instead of Python position lists.
     """
     for t, p in block.unknown:
         unknown.append((start + t - 1, p))
-    if backend == "numpy":
-        matrix = block._matrix
-        for i, node_stats in enumerate(stats):
-            idx = _np.flatnonzero(matrix[i])
-            if idx.size == 0:
-                continue
-            first = start + int(idx[0])
-            if node_stats.count:
-                boundary = first - node_stats.last
-                node_stats.diffs.add(boundary)
-                if boundary > node_stats.max_diff:
-                    node_stats.max_diff = boundary
+    matrix = block._matrix
+    for i, node_stats in enumerate(stats):
+        idx = _np.flatnonzero(matrix[i])
+        if idx.size == 0:
+            continue
+        first = start + int(idx[0])
+        if node_stats.count:
+            boundary = first - node_stats.last
+            node_stats.diffs.add(boundary)
+            if boundary > node_stats.max_diff:
+                node_stats.max_diff = boundary
+        else:
+            node_stats.first = first
+        if idx.size > 1:
+            diffs = _np.diff(idx)
+            dmax = int(diffs.max())
+            if dmax > node_stats.max_diff:
+                node_stats.max_diff = dmax
+            if dmax == int(diffs.min()):  # constant — the common periodic case
+                node_stats.diffs.add(dmax)
             else:
-                node_stats.first = first
-            if idx.size > 1:
-                diffs = _np.diff(idx)
-                dmax = int(diffs.max())
-                if dmax > node_stats.max_diff:
-                    node_stats.max_diff = dmax
-                if dmax == int(diffs.min()):  # constant — the common periodic case
-                    node_stats.diffs.add(dmax)
-                else:
-                    node_stats.diffs.update(_np.unique(diffs).tolist())
-            node_stats.count += int(idx.size)
-            node_stats.last = start + int(idx[-1])
-        for k, (i, j) in enumerate(edge_rows):
-            both = matrix[i] & matrix[j]
-            if both.any():
-                collisions[k].extend((start + _np.flatnonzero(both)).tolist())
-    else:
-        for i, node_stats in enumerate(stats):
-            node_stats.absorb(_bit_positions(block._bits[i], offset=start))
-        for k, (i, j) in enumerate(edge_rows):
-            both = block._bits[i] & block._bits[j]
-            if both:
-                collisions[k].extend(_bit_positions(both, offset=start))
+                node_stats.diffs.update(_np.unique(diffs).tolist())
+        node_stats.count += int(idx.size)
+        node_stats.last = start + int(idx[-1])
+    for k, (i, j) in enumerate(edge_rows):
+        both = matrix[i] & matrix[j]
+        if both.any():
+            collisions[k].extend((start + _np.flatnonzero(both)).tolist())
 
 
 def _fold_legality_block(
     start: int,
     block: TraceMatrix,
-    backend: str,
     edges: Sequence[Tuple[Node, Node]],
     edge_rows: Sequence[Tuple[int, int]],
     unknown_by_holiday: Dict[int, List[Node]],
@@ -865,12 +758,8 @@ def _fold_legality_block(
     for t, p in block.unknown:
         unknown_by_holiday.setdefault(start + t - 1, []).append(p)
     for (u, v), (i, j) in zip(edges, edge_rows):
-        if backend == "numpy":
-            both = block._matrix[i] & block._matrix[j]
-            hits = (start + _np.flatnonzero(both)).tolist() if both.any() else []
-        else:
-            both = block._bits[i] & block._bits[j]
-            hits = _bit_positions(both, offset=start) if both else []
+        both = block._matrix[i] & block._matrix[j]
+        hits = (start + _np.flatnonzero(both)).tolist() if both.any() else []
         for t in hits:
             collisions.setdefault(t, []).append((u, v))
 
@@ -942,7 +831,7 @@ def _resume_payload_schedule(schedule) -> ScheduleOrSets:
 def _summary_block_worker(payload) -> Tuple[List[_NodeStreamStats], List[List[int]], List[Tuple[int, Node]]]:
     """Process-pool entry point: build and scan one contiguous chunk block.
 
-    ``payload`` is ``(schedule, graph, horizon, chunk, backend, first_chunk,
+    ``payload`` is ``(schedule, graph, horizon, chunk, first_chunk,
     chunk_count, offset)`` where ``schedule`` is either the full schedule
     (periodic/cyclic/explicit — the offset-aware fast paths rebuild any
     chunk from it directly), a :class:`~repro.core.schedule.GeneratorCheckpoint`
@@ -952,9 +841,9 @@ def _summary_block_worker(payload) -> Tuple[List[_NodeStreamStats], List[List[in
     Returns the block's partial summary: per-node stats, per-edge collision
     holidays (edge order = ``graph.edges()``), and global unknown pairs.
     """
-    schedule, graph, horizon, chunk, backend, first_chunk, chunk_count, offset = payload
+    schedule, graph, horizon, chunk, first_chunk, chunk_count, offset = payload
     schedule = _resume_payload_schedule(schedule)
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
+    stream = TraceStream(schedule, graph, horizon, chunk=chunk)
     order = graph.nodes()
     index = {p: i for i, p in enumerate(order)}
     edges = graph.edges()
@@ -966,7 +855,7 @@ def _summary_block_worker(payload) -> Tuple[List[_NodeStreamStats], List[List[in
         start = k * chunk + 1
         width = min(chunk, horizon - start + 1)
         block = stream.block(start, width)
-        _fold_summary_block(offset + start, block, backend, stats, edge_rows, collisions, unknown)
+        _fold_summary_block(offset + start, block, stats, edge_rows, collisions, unknown)
     return stats, collisions, unknown
 
 
@@ -980,10 +869,10 @@ def _legality_block_worker(payload) -> Tuple[Dict[int, List[Node]], Dict[int, Li
     violation, so the returned dictionaries hold exactly that chunk's
     evidence — the same truncation a serial scan applies.
     """
-    (schedule, graph, horizon, chunk, backend, first_chunk, chunk_count, offset,
+    (schedule, graph, horizon, chunk, first_chunk, chunk_count, offset,
      edges, edge_rows, fail_fast) = payload
     schedule = _resume_payload_schedule(schedule)
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
+    stream = TraceStream(schedule, graph, horizon, chunk=chunk)
     unknown_by_holiday: Dict[int, List[Node]] = {}
     collisions: Dict[int, List[Tuple[Node, Node]]] = {}
     for k in range(first_chunk, first_chunk + chunk_count):
@@ -991,7 +880,7 @@ def _legality_block_worker(payload) -> Tuple[Dict[int, List[Node]], Dict[int, Li
         width = min(chunk, horizon - start + 1)
         block = stream.block(start, width)
         _fold_legality_block(
-            offset + start, block, backend, edges, edge_rows, unknown_by_holiday, collisions
+            offset + start, block, edges, edge_rows, unknown_by_holiday, collisions
         )
         if fail_fast and (unknown_by_holiday or collisions):
             break
@@ -1010,19 +899,16 @@ def _appearance_block_worker(payload) -> List[List[int]]:
     (concatenation of ascending runs over adjacent holiday ranges is the
     associative merge here).
     """
-    (schedule, graph, horizon, chunk, backend, first_chunk, chunk_count, offset, rows) = payload
+    (schedule, graph, horizon, chunk, first_chunk, chunk_count, offset, rows) = payload
     schedule = _resume_payload_schedule(schedule)
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
+    stream = TraceStream(schedule, graph, horizon, chunk=chunk)
     out: List[List[int]] = [[] for _ in rows]
     for k in range(first_chunk, first_chunk + chunk_count):
         start = k * chunk + 1
         width = min(chunk, horizon - start + 1)
         block = stream.block(start, width)
         for slot, row in enumerate(rows):
-            if backend == "numpy":
-                out[slot].extend((offset + start + _np.flatnonzero(block._matrix[row])).tolist())
-            else:
-                out[slot].extend(_bit_positions(block._bits[row], offset=offset + start))
+            out[slot].extend((offset + start + _np.flatnonzero(block._matrix[row])).tolist())
     return out
 
 
@@ -1042,7 +928,7 @@ class StreamedTrace:
     ``all_gaps``) stream a dedicated pass and are O(appearances) in their
     output — inherent to the question, not to the engine.  Differential
     tests (``tests/core/test_stream.py``) assert exact agreement with the
-    dense engine on every query, backend and chunk width.
+    dense engine on every query and chunk width.
 
     Parallelism: with ``jobs > 1`` the summary pass, the legality scan
     *and* the dedicated per-appearance passes split the chunk sequence
@@ -1078,14 +964,12 @@ class StreamedTrace:
         schedule: ScheduleOrSets,
         graph: ConflictGraph,
         horizon: int,
-        backend: str = "auto",
         chunk: Optional[int] = None,
         jobs: int = 1,
         checkpoint: bool = True,
     ) -> None:
         self.graph = graph
         self.horizon = horizon
-        self.backend = resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
         self.jobs = int(jobs)
         if self.jobs < 1:
@@ -1097,9 +981,7 @@ class StreamedTrace:
         # one re-iterable stream shared by every pass, so the cyclic fast
         # path materialises its cycle once, not once per query; also
         # validates horizon/chunk eagerly
-        self._source = TraceStream(
-            schedule, graph, horizon, chunk=self.chunk, backend=self.backend
-        )
+        self._source = TraceStream(schedule, graph, horizon, chunk=self.chunk)
         self._stats: Optional[List[_NodeStreamStats]] = None
         self._collisions: Optional[Dict[Tuple[Node, Node], List[int]]] = None
         self._unknown: Optional[List[Tuple[int, Node]]] = None
@@ -1112,9 +994,7 @@ class StreamedTrace:
     # -- the shared summary pass ---------------------------------------------------
     def _block_positions(self, start: int, block: TraceMatrix, row: int) -> List[int]:
         """Ascending *global* appearance holidays of one row within a block."""
-        if self.backend == "numpy":
-            return (start + _np.flatnonzero(block._matrix[row])).tolist()
-        return _bit_positions(block._bits[row], offset=start)
+        return (start + _np.flatnonzero(block._matrix[row])).tolist()
 
     def _parallel_source(self) -> Optional[ScheduleOrSets]:
         """What a worker process can rebuild blocks from, or None when the
@@ -1188,8 +1068,8 @@ class StreamedTrace:
         return None
 
     def _block_payload(self, source, first_chunk: int, chunk_count: int) -> Tuple:
-        """The ``(schedule, graph, horizon, chunk, backend, first, count,
-        offset)`` tuple one worker needs to rebuild and scan its block.
+        """The ``(schedule, graph, horizon, chunk, first, count, offset)``
+        tuple one worker needs to rebuild and scan its block.
 
         For a :class:`_CheckpointPlan` this advances the parent's generator
         to the block's first boundary and ships the resume handle — called
@@ -1199,14 +1079,12 @@ class StreamedTrace:
         if isinstance(source, _CheckpointPlan):
             source.ensure(first_chunk)
             return (source.handles[first_chunk], self.graph, self.horizon, self.chunk,
-                    self.backend, first_chunk, chunk_count, 0)
-        if isinstance(source, Schedule):
-            return (source, self.graph, self.horizon, self.chunk, self.backend,
                     first_chunk, chunk_count, 0)
+        if isinstance(source, Schedule):
+            return (source, self.graph, self.horizon, self.chunk, first_chunk, chunk_count, 0)
         lo = first_chunk * self.chunk
         hi = min(self.horizon, (first_chunk + chunk_count) * self.chunk)
-        return (list(source[lo:hi]), self.graph, hi - lo, self.chunk, self.backend,
-                0, chunk_count, lo)
+        return (list(source[lo:hi]), self.graph, hi - lo, self.chunk, 0, chunk_count, lo)
 
     def _serial_blocks(self) -> Iterator[Tuple[int, TraceMatrix]]:
         """One in-order ``(start, block)`` pass over the stream, snapshotting
@@ -1237,9 +1115,7 @@ class StreamedTrace:
             handles = self._replay_handles()
             if handles is not None:
                 resumed = handles[(start - 1) // self.chunk].resume()
-                return TraceMatrix._from_sets(
-                    resumed.prefix(width, start=start), self.graph, width, self.backend
-                )
+                return TraceMatrix._from_sets(resumed.prefix(width, start=start), self.graph, width)
         return self._stream().block(start, width)
 
     def _pass_blocks(self) -> Iterator[Tuple[int, TraceMatrix]]:
@@ -1256,7 +1132,7 @@ class StreamedTrace:
                     width = min(self.chunk, self.horizon - start + 1)
                     resumed = handles[k].resume()
                     yield start, TraceMatrix._from_sets(
-                        resumed.prefix(width, start=start), self.graph, width, self.backend
+                        resumed.prefix(width, start=start), self.graph, width
                     )
                 return
         yield from self._serial_blocks()
@@ -1274,7 +1150,7 @@ class StreamedTrace:
         collisions: List[List[int]] = [[] for _ in edges]
         unknown: List[Tuple[int, Node]] = []
         for start, block in self._pass_blocks():
-            _fold_summary_block(start, block, self.backend, stats, edge_rows, collisions, unknown)
+            _fold_summary_block(start, block, stats, edge_rows, collisions, unknown)
         self._stats = stats
         self._collisions = {edge: collisions[k] for k, edge in enumerate(edges)}
         self._unknown = unknown
@@ -1479,14 +1355,9 @@ class StreamedTrace:
         i, j = self._index[u], self._index[v]
         out: List[int] = []
         for start, block in self._pass_blocks():
-            if self.backend == "numpy":
-                both = block._matrix[i] & block._matrix[j]
-                if both.any():
-                    out.extend((start + _np.flatnonzero(both)).tolist())
-            else:
-                both = block._bits[i] & block._bits[j]
-                if both:
-                    out.extend(_bit_positions(both, offset=start))
+            both = block._matrix[i] & block._matrix[j]
+            if both.any():
+                out.extend((start + _np.flatnonzero(both)).tolist())
         return out
 
     def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
@@ -1531,9 +1402,7 @@ class StreamedTrace:
         unknown_by_holiday = {}
         collisions = {}
         for start, block in self._pass_blocks():
-            _fold_legality_block(
-                start, block, self.backend, edges, edge_rows, unknown_by_holiday, collisions
-            )
+            _fold_legality_block(start, block, edges, edge_rows, unknown_by_holiday, collisions)
             if fail_fast and (unknown_by_holiday or collisions):
                 break
         return unknown_by_holiday, collisions
@@ -1654,24 +1523,21 @@ class TraceBatch:
     """``S`` schedules over one graph and horizon, evaluated in one pass.
 
     Stacks the occupancy traces of ``S`` *compatible* schedules — same
-    :class:`~repro.core.problem.ConflictGraph`, same horizon, same resolved
-    backend — into a single ``S × n × horizon`` boolean tensor (numpy) or
-    ``S`` lists of bitmask rows (pure Python), and answers every summary
-    query of the :class:`TraceMatrix` API for *all* members from one
-    stacked :meth:`scan`:
+    :class:`~repro.core.problem.ConflictGraph`, same horizon — into a single
+    ``S × n × horizon`` boolean tensor, and answers every summary query of
+    the :class:`TraceMatrix` API for *all* members from one stacked
+    :meth:`scan`:
 
     * per-node gap/run-length statistics (``mul``, observed period,
       distinct diffs, happiness rate) from a single ``nonzero``/``diff``/
-      ``reduceat`` sweep over the flattened ``S·n`` row block (numpy) or
-      one bit walk per row (bitmask);
+      ``reduceat`` sweep over the flattened ``S·n`` row block;
     * per-edge legality evidence from one adjacency-masked AND per graph
       edge covering all members at once.
 
     Construction broadcasts the existing fast paths across the schedule
     axis: every periodic row in the whole batch is grouped by its period so
-    each distinct period is expanded once (numpy), and bitmask patterns are
-    cached by ``(period, phase)`` across all members.  Non-periodic members
-    fall back to their ordinary :meth:`TraceMatrix.from_schedule` build.
+    each distinct period is expanded once.  Non-periodic members fall back
+    to their ordinary :meth:`TraceMatrix.from_schedule` build.
 
     ``horizon_mode="stream"`` (or ``"auto"`` above
     :data:`AUTO_STREAM_BYTES`) degrades gracefully: member chunks are
@@ -1686,7 +1552,7 @@ class TraceBatch:
     (matching graph and horizon), which is how the experiment engine runs
     the unmodified metric suite and validator over each member.
     Differential tests (``tests/core/test_batch.py``) assert every member
-    query equals its per-cell counterpart on both backends.
+    query equals its per-cell counterpart.
     """
 
     def __init__(
@@ -1694,7 +1560,6 @@ class TraceBatch:
         schedules: Sequence[ScheduleOrSets],
         graph: ConflictGraph,
         horizon: int,
-        backend: str = "auto",
         horizon_mode: str = "auto",
         chunk: Optional[int] = None,
     ) -> None:
@@ -1705,24 +1570,20 @@ class TraceBatch:
             raise ValueError("TraceBatch needs at least one schedule")
         self.graph = graph
         self.horizon = horizon
-        self.backend = resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
         if self.chunk < 1:
             raise ValueError(f"chunk width must be >= 1, got {chunk!r}")
         #: the representation every member view reports as its ``mode`` —
         #: resolved exactly like a per-cell trace of the same shape, so a
         #: batched record's ``horizon_mode`` stamp matches per-cell runs.
-        self.member_mode = resolve_horizon_mode(
-            horizon_mode, graph.num_nodes(), horizon, self.backend
-        )
+        self.member_mode = resolve_horizon_mode(horizon_mode, graph.num_nodes(), horizon)
         self._order: List[Node] = graph.nodes()
         self._index: Dict[Node, int] = {p: i for i, p in enumerate(self._order)}
         self._unknown: List[List[Tuple[int, Node]]] = [[] for _ in self.schedules]
-        self._tensor = None  # numpy (S, n, horizon) bool tensor (dense numpy)
-        self._bits: Optional[List[List[int]]] = None  # per-member rows (dense bitmask)
-        # per-(member, node) summary state for the bitmask and stream arms
+        self._tensor = None  # (S, n, horizon) bool tensor (dense mode)
+        # per-(member, node) summary state for the stream arm
         self._stats: Optional[List[List[_NodeStreamStats]]] = None
-        # flattened per-row summary arrays for the dense numpy arm
+        # flattened per-row summary arrays for the dense arm
         self._counts = self._first = self._last = None
         self._dmax = self._dmin = self._muls = None
         self._cols = self._seg_start = self._seg_end = None
@@ -1755,56 +1616,31 @@ class TraceBatch:
 
     def _build_dense(self) -> None:
         n, horizon = len(self._order), self.horizon
-        if self.backend == "numpy":
-            tensor = _np.zeros((len(self.schedules), n, horizon), dtype=_np.bool_)
-            # C-contiguous reshape: flat row s·n + i aliases tensor[s, i].
-            flat = tensor.reshape(len(self.schedules) * n, horizon)
-            by_period: Dict[int, Tuple[List[int], List[int]]] = {}
-            for s, schedule in enumerate(self.schedules):
-                if self._periodic_eligible(schedule):
-                    for i, p in enumerate(self._order):
-                        slot = schedule.assignments[p]
-                        rows, phases = by_period.setdefault(slot.period, ([], []))
-                        rows.append(s * n + i)
-                        phases.append(slot.phase)
-                else:
-                    member = TraceMatrix.from_schedule(
-                        schedule, self.graph, horizon, backend="numpy"
-                    )
-                    tensor[s] = member._matrix
-                    self._unknown[s] = member.unknown
-            if by_period:
-                # one arange % τ per distinct period across the WHOLE batch —
-                # the broadcast form of TraceMatrix._from_periodic.
-                holidays = _np.arange(1, horizon + 1, dtype=_np.int64)
-                for period, (rows, phases) in by_period.items():
-                    mod = holidays % period
-                    row_idx = _np.asarray(rows, dtype=_np.intp)
-                    phase_arr = _np.asarray(phases, dtype=_np.int64)
-                    flat[row_idx] = mod[_np.newaxis, :] == phase_arr[:, _np.newaxis]
-            self._tensor = tensor
-            return
-        pattern_cache: Dict[Tuple[int, int], int] = {}
-        bits: List[List[int]] = []
+        tensor = _np.zeros((len(self.schedules), n, horizon), dtype=_np.bool_)
+        # C-contiguous reshape: flat row s·n + i aliases tensor[s, i].
+        flat = tensor.reshape(len(self.schedules) * n, horizon)
+        by_period: Dict[int, Tuple[List[int], List[int]]] = {}
         for s, schedule in enumerate(self.schedules):
             if self._periodic_eligible(schedule):
-                row_bits: List[int] = []
-                for p in self._order:
+                for i, p in enumerate(self._order):
                     slot = schedule.assignments[p]
-                    key = (slot.period, slot.phase)
-                    if key not in pattern_cache:
-                        pattern_cache[key] = _periodic_bitmask_window(
-                            slot.period, slot.phase, 1, horizon
-                        )
-                    row_bits.append(pattern_cache[key])
-                bits.append(row_bits)
+                    rows, phases = by_period.setdefault(slot.period, ([], []))
+                    rows.append(s * n + i)
+                    phases.append(slot.phase)
             else:
-                member = TraceMatrix.from_schedule(
-                    schedule, self.graph, horizon, backend="bitmask"
-                )
-                bits.append(member._bits)
+                member = TraceMatrix.from_schedule(schedule, self.graph, horizon)
+                tensor[s] = member._matrix
                 self._unknown[s] = member.unknown
-        self._bits = bits
+        if by_period:
+            # one arange % τ per distinct period across the WHOLE batch —
+            # the broadcast form of TraceMatrix._from_periodic.
+            holidays = _np.arange(1, horizon + 1, dtype=_np.int64)
+            for period, (rows, phases) in by_period.items():
+                mod = holidays % period
+                row_idx = _np.asarray(rows, dtype=_np.intp)
+                phase_arr = _np.asarray(phases, dtype=_np.int64)
+                flat[row_idx] = mod[_np.newaxis, :] == phase_arr[:, _np.newaxis]
+        self._tensor = tensor
 
     # -- the one stacked scan ------------------------------------------------------
     def scan(self) -> None:
@@ -1817,10 +1653,8 @@ class TraceBatch:
             return
         if self.member_mode == "stream":
             self._scan_stream()
-        elif self.backend == "numpy":
-            self._scan_dense_numpy()
         else:
-            self._scan_dense_bitmask()
+            self._scan_dense_numpy()
         self._scanned = True
 
     def _scan_dense_numpy(self) -> None:
@@ -1851,32 +1685,12 @@ class TraceBatch:
             collisions[(u, v)] = per_member
         self._collisions = collisions
 
-    def _scan_dense_bitmask(self) -> None:
-        stats: List[List[_NodeStreamStats]] = []
-        for member_bits in self._bits:
-            member_stats = []
-            for row in member_bits:
-                node_stats = _NodeStreamStats()
-                node_stats.absorb(_bit_positions(row, offset=1))
-                member_stats.append(node_stats)
-            stats.append(member_stats)
-        self._stats = stats
-        collisions: Dict[Tuple[Node, Node], List[List[int]]] = {}
-        for u, v in self.graph.edges():
-            i, j = self._index[u], self._index[v]
-            per_member = []
-            for member_bits in self._bits:
-                both = member_bits[i] & member_bits[j]
-                per_member.append(_bit_positions(both, offset=1) if both else [])
-            collisions[(u, v)] = per_member
-        self._collisions = collisions
-
     def _scan_stream(self) -> None:
         """Chunk-major stacked scan: every member's block for one column
         window is built and folded before moving to the next window, so at
         most ``S`` blocks of ``n × chunk`` are live at once."""
         streams = [
-            TraceStream(schedule, self.graph, self.horizon, chunk=self.chunk, backend=self.backend)
+            TraceStream(schedule, self.graph, self.horizon, chunk=self.chunk)
             for schedule in self.schedules
         ]
         edges = self.graph.edges()
@@ -1891,8 +1705,7 @@ class TraceBatch:
             for s, stream in enumerate(streams):
                 block = stream.block(start, width)
                 _fold_summary_block(
-                    start, block, self.backend, stats[s], edge_rows,
-                    collision_lists[s], self._unknown[s],
+                    start, block, stats[s], edge_rows, collision_lists[s], self._unknown[s]
                 )
             start += width
         self._stats = stats
@@ -1919,7 +1732,6 @@ class _BatchMemberView:
         self._member = member
         self.graph = batch.graph
         self.horizon = batch.horizon
-        self.backend = batch.backend
         self.mode = batch.member_mode
         self._order = batch._order
         self._index = batch._index
@@ -1941,9 +1753,8 @@ class _BatchMemberView:
         return self._member * len(self._order) + self._index[node]
 
     def _vector_scan(self) -> bool:
-        """True when the dense-numpy flattened arrays answer this member."""
-        batch = self._batch
-        return batch.member_mode == "dense" and batch.backend == "numpy"
+        """True when the dense flattened arrays answer this member."""
+        return self._batch.member_mode == "dense"
 
     def _stats(self, node: Node) -> _NodeStreamStats:
         batch = self._batch
@@ -2076,18 +1887,12 @@ class _BatchMemberView:
             batch, s = self._batch, self._member
             if batch.member_mode == "stream":
                 self._trace = StreamedTrace(
-                    batch.schedules[s], batch.graph, batch.horizon,
-                    backend=batch.backend, chunk=batch.chunk,
-                )
-            elif batch.backend == "numpy":
-                self._trace = TraceMatrix(
-                    batch.graph, batch.horizon, "numpy",
-                    rows_numpy=batch._tensor[s], unknown=list(batch._unknown[s]),
+                    batch.schedules[s], batch.graph, batch.horizon, chunk=batch.chunk
                 )
             else:
                 self._trace = TraceMatrix(
-                    batch.graph, batch.horizon, "bitmask",
-                    rows_bitmask=batch._bits[s], unknown=list(batch._unknown[s]),
+                    batch.graph, batch.horizon, batch._tensor[s],
+                    unknown=list(batch._unknown[s]),
                 )
         return self._trace
 
@@ -2135,60 +1940,3 @@ def _scatter_columns(matrix, columns, index, on_unknown) -> None:
         cols.extend(repeat(key, len(rows) - mark))
     if rows:
         matrix[_np.asarray(rows, dtype=_np.intp), _np.asarray(cols, dtype=_np.intp)] = True
-
-
-# -- bit-twiddling helpers (pure-Python backend) ------------------------------------
-
-try:
-    _popcount = int.bit_count  # Python 3.10+
-except AttributeError:  # pragma: no cover - 3.9 fallback
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
-
-
-def _bit_positions(mask: int, offset: int = 0) -> List[int]:
-    """Positions of set bits in ascending order, each shifted by ``offset``.
-
-    Scans byte by byte over a single ``to_bytes`` export: peeling bits off
-    the big int directly (``mask &= mask - 1``) re-touches every word of the
-    integer per bit, which is quadratic in the horizon and visibly hangs at
-    horizons ≥ 10⁵.
-    """
-    if mask == 0:
-        return []
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    out: List[int] = []
-    for byte_index, byte in enumerate(data):
-        base = byte_index * 8 + offset
-        while byte:
-            low = byte & -byte
-            out.append(base + low.bit_length() - 1)
-            byte ^= low
-    return out
-
-
-def _periodic_bitmask_window(period: int, phase: int, start: int, width: int) -> int:
-    """Bitmask with bit ``t - start`` set for every holiday ``start <= t <
-    start + width`` with ``t % period == phase`` — built by doubling so the
-    cost is ``O(log(width/period))`` big-int operations, not one per
-    appearance.  ``start=1`` is the dense full-horizon case; other starts are
-    the streaming chunks."""
-    first = start + ((phase - start) % period)
-    last = start + width - 1
-    if first > last:
-        return 0
-    reps = (last - first) // period + 1
-    return _repeat_bitmask(1, period, reps) << (first - start)
-
-
-def _repeat_bitmask(pattern: int, width: int, reps: int) -> int:
-    """Concatenate ``reps`` copies of a ``width``-bit pattern (doubling fill)."""
-    if reps <= 0 or pattern == 0:
-        return 0
-    mask = pattern
-    have = 1
-    while have < reps:
-        take = min(have, reps - have)
-        mask |= mask << (take * width)
-        have += take
-    return mask

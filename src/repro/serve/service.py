@@ -106,7 +106,7 @@ def schedule_key_for(algorithm: str, seed: int) -> str:
     return f"{algorithm}:{seed}"
 
 
-def _trace_nbytes(trace: object, num_nodes: int, horizon: int, backend: str) -> int:
+def _trace_nbytes(trace: object, num_nodes: int, horizon: int) -> int:
     """Budget estimate for one cached trace.
 
     Dense traces are the matrix itself (`dense_trace_bytes`); a streamed
@@ -115,7 +115,7 @@ def _trace_nbytes(trace: object, num_nodes: int, horizon: int, backend: str) -> 
     """
     if isinstance(trace, StreamedTrace):
         return 256 * max(1, num_nodes)
-    return dense_trace_bytes(num_nodes, horizon, backend)
+    return dense_trace_bytes(num_nodes, horizon)
 
 
 class _BoundTraceCache:
@@ -145,7 +145,7 @@ class _BoundTraceCache:
         return self._cache.get_or_build(
             self._key,
             build,
-            lambda trace: _trace_nbytes(trace, graph.num_nodes(), horizon, engine.backend),
+            lambda trace: _trace_nbytes(trace, graph.num_nodes(), horizon),
         )
 
     def clear(self) -> None:  # pragma: no cover - sessions here never clear

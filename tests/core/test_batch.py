@@ -2,8 +2,8 @@
 
 The contract of :class:`repro.core.trace.TraceBatch` is *exact* agreement
 between a member view of the stacked kernel and an ordinary per-cell trace
-of the same schedule — on every query, for every registered scheduler, on
-both matrix backends, for every way of splitting the schedule set into
+of the same schedule — on every query, for every registered scheduler, for
+every way of splitting the schedule set into
 batches (size 1, 2, a size that does not divide the set, and the whole
 set), and in streamed mode for several chunk widths.  The views also plug
 into ``evaluate_schedule``/``validate_schedule`` via ``trace=`` and must
@@ -22,12 +22,11 @@ from repro.core.trace import (
     StreamedTrace,
     TraceBatch,
     TraceMatrix,
-    numpy_available,
 )
 from repro.core.validation import validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 HORIZON = 64
 #: streamed-batch chunk widths: degenerate, non-dividing, == horizon, > horizon.
@@ -73,31 +72,27 @@ def assert_member_matches(view, reference, graph):
     assert view.conflicting_holidays() == reference.conflicting_holidays()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dense_batch_matches_per_cell_for_every_split(graph, schedules, backend):
+def test_dense_batch_matches_per_cell_for_every_split(graph, schedules):
     built = [schedule for _, schedule in schedules]
     for size in batch_splits(len(built)):
         for lo in range(0, len(built), size):
             group = built[lo:lo + size]
-            batch = TraceBatch(group, graph, HORIZON, backend=backend)
+            batch = TraceBatch(group, graph, HORIZON)
             assert batch.member_mode == "dense"
             for s, schedule in enumerate(group):
-                reference = TraceMatrix.from_schedule(schedule, graph, HORIZON, backend=backend)
+                reference = TraceMatrix.from_schedule(schedule, graph, HORIZON)
                 assert_member_matches(batch.member(s), reference, graph)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNKS)
-def test_streamed_batch_matches_per_cell(graph, schedules, backend, chunk):
+def test_streamed_batch_matches_per_cell(graph, schedules, chunk):
     built = [schedule for _, schedule in schedules]
-    batch = TraceBatch(
-        built, graph, HORIZON, backend=backend, horizon_mode="stream", chunk=chunk
-    )
+    batch = TraceBatch(built, graph, HORIZON, horizon_mode="stream", chunk=chunk)
     assert batch.member_mode == "stream"
     for s, schedule in enumerate(built):
-        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON, backend=backend)
+        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON)
         assert_member_matches(batch.member(s), reference, graph)
-        streamed = StreamedTrace(schedule, graph, HORIZON, backend=backend, chunk=chunk)
+        streamed = StreamedTrace(schedule, graph, HORIZON, chunk=chunk)
         view = batch.member(s)
         assert view.muls() == streamed.muls()
         assert view.unknown == streamed.unknown
@@ -108,7 +103,7 @@ def test_member_views_drive_metrics_and_validation(graph, schedules, backend):
     """evaluate/validate over a member view ≡ per-cell, scheduler by scheduler."""
     config = EngineConfig(backend=backend)
     built = [schedule for _, schedule in schedules]
-    batch = TraceBatch(built, graph, HORIZON, backend=backend)
+    batch = TraceBatch(built, graph, HORIZON)
     for s, (name, schedule) in enumerate(schedules):
         scheduler = get_scheduler(name)
         view = batch.member(s)
@@ -137,22 +132,20 @@ def test_member_views_drive_metrics_and_validation(graph, schedules, backend):
         assert batched_validation.ok == percell_validation.ok
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_raw_sequences_and_unknown_nodes(graph, backend):
+def test_raw_sequences_and_unknown_nodes(graph):
     """Non-schedule members (raw happy-set sequences, possibly mentioning
     nodes outside the graph) take the generic fill and track unknowns."""
     nodes = graph.nodes()
     known = [{nodes[t % len(nodes)]} for t in range(HORIZON)]
     alien = [{nodes[0]} if t % 2 else {"ghost"} for t in range(HORIZON)]
-    batch = TraceBatch([known, alien], graph, HORIZON, backend=backend)
+    batch = TraceBatch([known, alien], graph, HORIZON)
     for s, raw in enumerate((known, alien)):
-        reference = TraceMatrix.from_schedule(raw, graph, HORIZON, backend=backend)
+        reference = TraceMatrix.from_schedule(raw, graph, HORIZON)
         assert_member_matches(batch.member(s), reference, graph)
     assert batch.member(1).unknown  # the ghost node was recorded
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mixed_periods_share_one_expansion(graph, backend):
+def test_mixed_periods_share_one_expansion(graph):
     """Periodic members with overlapping (period, phase) tables stack via
     the broadcast fast path and still answer exactly per-cell."""
     nodes = graph.nodes()
@@ -168,9 +161,9 @@ def test_mixed_periods_share_one_expansion(graph, backend):
                 check_conflicts=False,  # collisions are wanted: they exercise edge_collisions
             )
         )
-    batch = TraceBatch(tables, graph, HORIZON, backend=backend)
+    batch = TraceBatch(tables, graph, HORIZON)
     for s, schedule in enumerate(tables):
-        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON, backend=backend)
+        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON)
         assert_member_matches(batch.member(s), reference, graph)
 
 

@@ -12,8 +12,8 @@ Three layers under test:
 
 2. **The parallel fan-out** (:class:`repro.core.trace.StreamedTrace`):
    ``jobs=1 ≡ jobs=N`` for checkpointable generator-backed schedulers —
-   across both matrix backends, dividing and non-dividing chunk widths,
-   fail-fast legality, and the per-appearance second passes
+   across dividing and non-dividing chunk widths, fail-fast legality,
+   and the per-appearance second passes
    (``appearances``/``all_gaps``) — and the scan really takes the
    checkpoint plan, not the serial fallback.
 
@@ -37,15 +37,16 @@ from repro.core.config import EngineConfig
 from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import GeneratorCheckpoint, GeneratorSchedule
-from repro.core.trace import StreamedTrace, numpy_available
+from repro.core.trace import StreamedTrace
 from repro.core.validation import validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 HORIZON = 96
-#: 13 does not divide 96, 16 does — both sides of the chunk-alignment coin.
-CHUNKS = (13, 16)
+#: 7 and 13 do not divide 96, 16 and 32 do — both sides of the chunk-alignment
+#: coin, with many narrow blocks and with few wide ones.
+CHUNKS = (7, 13, 16, 32)
 
 
 def _checkpointable_schedulers():

@@ -1,7 +1,7 @@
 """Tests for :class:`repro.core.config.EngineConfig`.
 
-Covers JSON round-trip, ``resolve()`` with and without numpy, the
-consolidated sets/stream error, integer-only count knobs, ``config=`` as the
+Covers JSON round-trip, ``resolve()`` (including the legacy ``bitmask``
+spelling of the numpy backend), the consolidated sets/stream error, integer-only count knobs, ``config=`` as the
 one keyword spelling at every entry point, and cell-id stability —
 default-config ids must be byte-identical to golden ids captured from the
 PR 4 codebase, so every results sink recorded before the consolidation
@@ -15,14 +15,12 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-import repro.core.trace as trace_mod
 from repro.algorithms.registry import get_scheduler
-from repro.analysis.engine import ExperimentEngine, ExperimentSpec, HorizonPolicy
+from repro.analysis.engine import TIMING_METRICS, ExperimentEngine, ExperimentSpec, HorizonPolicy
 from repro.analysis.runner import run_scheduler
 from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
 from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.problem import ConflictGraph
-from repro.core.trace import numpy_available
 from repro.core.validation import validate_schedule
 
 #: Golden ids captured from the PR 4 codebase (before EngineConfig existed)
@@ -157,21 +155,21 @@ class TestEngineConfig:
         assert str(with_trace.value) == str(without_trace.value) == str(construct.value)
 
     def test_non_default_lists_only_overrides(self):
-        config = EngineConfig(backend="bitmask", chunk=64)
-        assert config.non_default() == {"backend": "bitmask", "chunk": 64}
+        config = EngineConfig(backend="numpy", chunk=64)
+        assert config.non_default() == {"backend": "numpy", "chunk": 64}
         assert "chunk=64" in config.describe()
 
     def test_config_with_layers_overrides(self):
         base = EngineConfig(horizon_mode="stream", chunk=32)
-        layered = config_with(base, backend="bitmask")
-        assert layered == EngineConfig(backend="bitmask", horizon_mode="stream", chunk=32)
+        layered = config_with(base, backend="numpy")
+        assert layered == EngineConfig(backend="numpy", horizon_mode="stream", chunk=32)
         assert config_with(None) == DEFAULT_CONFIG
 
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
         config = EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=1 << 12, stream_jobs=3, window=500
+            backend="numpy", horizon_mode="stream", chunk=1 << 12, stream_jobs=3, window=500
         )
         assert EngineConfig.from_json(config.to_json()) == config
         assert EngineConfig.from_dict(config.to_dict()) == config
@@ -194,24 +192,15 @@ class TestJsonRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# resolve() with and without numpy
+# resolve()
 # ---------------------------------------------------------------------------
 
 class TestResolve:
     def test_auto_resolves_to_available_backend(self):
         engine = EngineConfig().resolve()
-        assert engine.backend == ("numpy" if numpy_available() else "bitmask")
+        assert engine.backend == "numpy"
         assert engine.mode == "auto"  # no sizes given: representation open
         assert engine.uses_matrix
-
-    def test_auto_without_numpy_resolves_to_bitmask(self, monkeypatch):
-        monkeypatch.setattr(trace_mod, "_np", None)
-        assert EngineConfig().resolve().backend == "bitmask"
-
-    def test_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(trace_mod, "_np", None)
-        with pytest.raises(RuntimeError, match="numpy"):
-            EngineConfig(backend="numpy").resolve()
 
     def test_sets_resolves_to_sets_mode(self):
         engine = EngineConfig(backend="sets").resolve(10, 1000)
@@ -219,7 +208,7 @@ class TestResolve:
         assert not engine.uses_matrix
 
     def test_auto_mode_resolves_by_size(self):
-        config = EngineConfig(backend="bitmask")
+        config = EngineConfig(backend="numpy")
         assert config.resolve(60, 10_000).mode == "dense"
         assert config.resolve(60, 10**9).mode == "stream"
 
@@ -229,11 +218,39 @@ class TestResolve:
 
     def test_resolved_carries_all_knobs(self):
         engine = EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=7, stream_jobs=2, window=99
+            backend="numpy", horizon_mode="stream", chunk=7, stream_jobs=2, window=99
         ).resolve(4, 100)
         assert (engine.chunk, engine.stream_jobs, engine.window) == (7, 2, 99)
         assert engine.checkpoint is True
         assert EngineConfig(checkpoint=False).resolve(4, 100).checkpoint is False
+
+
+class TestBitmaskAlias:
+    """``"bitmask"`` named a pure-Python engine that no longer exists.  It
+    stays accepted as a spelling of the numpy backend, so spec files and
+    store rows that name it still load and keep their cell ids."""
+
+    def test_resolves_to_numpy(self):
+        assert EngineConfig(backend="bitmask").resolve().backend == "numpy"
+
+    def test_run_gives_the_numpy_metrics(self):
+        def run(backend):
+            spec = ExperimentSpec(
+                name="alias",
+                workloads=("small/star",),
+                algorithms=("phased-greedy",),
+                seeds=(7,),
+                config=EngineConfig(backend=backend),
+            )
+            (record,) = ExperimentEngine().run(spec)
+            metrics = {k: v for k, v in record.metrics.items() if k not in TIMING_METRICS}
+            return metrics, record.params["backend"]
+
+        legacy, legacy_stamp = run("bitmask")
+        current, current_stamp = run("numpy")
+        assert legacy == current
+        # the config spelling is what gets stamped (and hashed)
+        assert (legacy_stamp, current_stamp) == ("bitmask", "numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +302,7 @@ class TestCellIdStability:
 class TestSpecSerialization:
     def test_spec_round_trips_config(self, tmp_path):
         spec = golden_spec(
-            config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=128, window=64)
+            config=EngineConfig(backend="numpy", horizon_mode="stream", chunk=128, window=64)
         )
         path = spec.to_json(tmp_path / "spec.json")
         assert ExperimentSpec.from_json(path) == spec

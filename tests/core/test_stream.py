@@ -36,13 +36,12 @@ from repro.core.trace import (
     TraceMatrix,
     TraceStream,
     dense_trace_bytes,
-    numpy_available,
     resolve_horizon_mode,
 )
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 
 def cfg(backend=None, mode=None, chunk=None, jobs=None):
@@ -66,24 +65,22 @@ def report_tuples(report):
 
 class TestHorizonModeResolution:
     def test_auto_is_dense_below_threshold_and_stream_above(self):
-        assert resolve_horizon_mode("auto", 60, 10_000, "numpy") == "dense"
-        assert resolve_horizon_mode("auto", 60, 10**8, "numpy") == "stream"
-        # the bitmask representation is 8x smaller, so it flips later
+        assert resolve_horizon_mode("auto", 60, 10_000) == "dense"
+        assert resolve_horizon_mode("auto", 60, 10**8) == "stream"
         flip = AUTO_STREAM_BYTES // 60 + 1
-        assert resolve_horizon_mode("auto", 60, flip, "numpy") == "stream"
-        assert resolve_horizon_mode("auto", 60, flip, "bitmask") == "dense"
+        assert resolve_horizon_mode("auto", 60, flip - 1) == "dense"
+        assert resolve_horizon_mode("auto", 60, flip) == "stream"
 
     def test_explicit_modes_pass_through(self):
-        assert resolve_horizon_mode("dense", 60, 10**9, "numpy") == "dense"
-        assert resolve_horizon_mode("stream", 1, 1, "bitmask") == "stream"
+        assert resolve_horizon_mode("dense", 60, 10**9) == "dense"
+        assert resolve_horizon_mode("stream", 1, 1) == "stream"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="horizon mode"):
-            resolve_horizon_mode("chunked", 1, 1, "numpy")
+            resolve_horizon_mode("chunked", 1, 1)
 
     def test_dense_trace_bytes(self):
-        assert dense_trace_bytes(60, 10**6, "numpy") == 60 * 10**6
-        assert dense_trace_bytes(60, 10**6, "bitmask") == 60 * 10**6 // 8
+        assert dense_trace_bytes(60, 10**6) == 60 * 10**6
 
     def test_build_trace_mode_selects_engine(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
@@ -110,11 +107,10 @@ class TestHorizonModeResolution:
 # TraceStream blocks tile exactly onto the dense matrix
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestTraceStreamBlocks:
-    def assert_blocks_match_dense(self, schedule, graph, horizon, chunk, backend):
-        dense = TraceMatrix.from_schedule(schedule, graph, horizon, backend=backend)
-        stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
+    def assert_blocks_match_dense(self, schedule, graph, horizon, chunk):
+        dense = TraceMatrix.from_schedule(schedule, graph, horizon)
+        stream = TraceStream(schedule, graph, horizon, chunk=chunk)
         seen = 0
         for start, block in stream:
             for local in range(1, block.horizon + 1):
@@ -126,39 +122,39 @@ class TestTraceStreamBlocks:
         assert seen == horizon
         assert stream.num_chunks() == -(-horizon // chunk)
 
-    def test_periodic_fast_path_blocks(self, backend):
+    def test_periodic_fast_path_blocks(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = PeriodicSchedule(
             graph,
             {0: SlotAssignment(2, 1), 1: SlotAssignment(4, 0), 2: SlotAssignment(2, 1)},
         )
         for chunk in (1, 3, 5, 23, 50):
-            self.assert_blocks_match_dense(schedule, graph, 23, chunk, backend)
+            self.assert_blocks_match_dense(schedule, graph, 23, chunk)
 
-    def test_cyclic_tiling_blocks(self, backend):
+    def test_cyclic_tiling_blocks(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = ExplicitSchedule(graph, [[0, 2], [1], []], cyclic=True)
         for chunk in (1, 2, 7, 17, 40):  # cycle length 3 vs every alignment
-            self.assert_blocks_match_dense(schedule, graph, 17, chunk, backend)
+            self.assert_blocks_match_dense(schedule, graph, 17, chunk)
 
-    def test_cyclic_blocks_carry_unknown_nodes(self, backend):
+    def test_cyclic_blocks_carry_unknown_nodes(self):
         loose = ConflictGraph(edges=[(0, 1)], nodes=[], name="loose")
         schedule = ExplicitSchedule(
             ConflictGraph(edges=[(0, 1)], nodes=[9], name="rich"),
             [[0], [9], [1]],
             cyclic=True,
         )
-        self.assert_blocks_match_dense(schedule, loose, 11, 4, backend)
+        self.assert_blocks_match_dense(schedule, loose, 11, 4)
 
-    def test_generic_blocks(self, backend):
+    def test_generic_blocks(self):
         graph = erdos_renyi(9, 0.3, seed=2, name="gnp-9")
         schedule = get_scheduler("phased-greedy").build(graph, seed=1)
-        self.assert_blocks_match_dense(schedule, graph, 40, 11, backend)
+        self.assert_blocks_match_dense(schedule, graph, 40, 11)
 
-    def test_raw_sequence_too_short_rejected(self, backend):
+    def test_raw_sequence_too_short_rejected(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         with pytest.raises(ValueError, match="only 2 holidays"):
-            TraceStream([[0], [1]], graph, 5, chunk=2, backend=backend)
+            TraceStream([[0], [1]], graph, 5, chunk=2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +207,11 @@ def test_metric_helpers_match_dense(backend):
 # StreamedTrace query parity beyond the metric suite
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streamed_trace_query_parity(backend):
+def test_streamed_trace_query_parity():
     graph = erdos_renyi(10, 0.35, seed=7, name="gnp-10")
     schedule = get_scheduler("round-robin-color").build(graph, seed=0)
-    dense = TraceMatrix.from_schedule(schedule, graph, 50, backend=backend)
-    stream = StreamedTrace(schedule, graph, 50, backend=backend, chunk=7)
+    dense = TraceMatrix.from_schedule(schedule, graph, 50)
+    stream = StreamedTrace(schedule, graph, 50, chunk=7)
     for p in graph.nodes():
         assert stream.appearances(p) == dense.appearances(p)
         assert stream.appearance_diffs(p) == dense.appearance_diffs(p)
@@ -234,21 +229,20 @@ def test_streamed_trace_query_parity(backend):
     assert stream.conflicting_holidays() == dense.conflicting_holidays()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streamed_edge_collisions_for_non_edges(backend):
+def test_streamed_edge_collisions_for_non_edges():
     """Pairs that are not edges of the trace's graph go through the
     dedicated per-chunk scan and must agree with the dense engine."""
     graph = ConflictGraph.from_edges([(0, 1)], name="p2-plus")
     sets = [[0], [0, 1], [], [1], [0, 1]]
-    dense = TraceMatrix.from_schedule(sets, graph, 5, backend=backend)
-    stream = StreamedTrace(sets, graph, 5, backend=backend, chunk=2)
+    dense = TraceMatrix.from_schedule(sets, graph, 5)
+    stream = StreamedTrace(sets, graph, 5, chunk=2)
     assert stream.edge_collisions(0, 1) == dense.edge_collisions(0, 1) == [2, 5]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_streamed_unknown_nodes_and_mismatched_graphs(backend):
     graph = ConflictGraph.from_edges([(0, 1)], name="p2")
-    stream = StreamedTrace([[0], [99], [1]], graph, 3, backend=backend, chunk=1)
+    stream = StreamedTrace([[0], [99], [1]], graph, 3, chunk=1)
     assert stream.unknown == [(2, 99)]
 
     base = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
@@ -369,4 +363,4 @@ def test_run_scheduler_sets_backend_reports_sets_mode():
 def test_default_chunk_is_sane():
     # the default chunk keeps a 60-node numpy block well under the auto
     # threshold — streaming must never page in a dense-sized block
-    assert dense_trace_bytes(60, DEFAULT_CHUNK, "numpy") < AUTO_STREAM_BYTES // 8
+    assert dense_trace_bytes(60, DEFAULT_CHUNK) < AUTO_STREAM_BYTES // 8

@@ -2,7 +2,7 @@
 
 The contract of :class:`repro.core.trace.StreamedTrace` with ``jobs > 1`` is
 that parallelism is purely a wall-clock knob: for every registered scheduler,
-both matrix backends, chunk widths that do and do not divide the horizon,
+chunk widths that do and do not divide the horizon,
 and both fail-fast settings, the streamed metrics and validation reports
 must be *identical* to the serial scan (and therefore, transitively, to the
 dense matrix and the frozenset reference).  Schedules that cannot be split
@@ -28,12 +28,11 @@ from repro.core.trace import (
     StreamedTrace,
     _chunk_blocks,
     _NodeStreamStats,
-    numpy_available,
 )
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 
 def cfg(backend=None, mode=None, chunk=None, jobs=None):
@@ -42,8 +41,9 @@ def cfg(backend=None, mode=None, chunk=None, jobs=None):
     return EngineConfig(**{k: v for k, v in opts.items() if v is not None})
 
 HORIZON = 96
-#: 13 does not divide 96, 16 does — both sides of the chunk-alignment coin.
-CHUNKS = (13, 16)
+#: 7 and 13 do not divide 96, 16 and 32 do — both sides of the chunk-alignment
+#: coin, with many narrow blocks and with few wide ones.
+CHUNKS = (7, 13, 16, 32)
 
 
 def report_tuples(report):
@@ -61,7 +61,7 @@ def summary_state(trace: StreamedTrace):
 
 
 # ---------------------------------------------------------------------------
-# the acceptance gate: all schedulers × backends × chunk widths × fail-fast
+# the acceptance gate: all schedulers × chunk widths × fail-fast
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -118,8 +118,7 @@ def test_illegal_sequence_parallel_matches_serial(backend, fail_fast):
         assert parallel.violations and parallel.violations[0].holiday == 17
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallel_legality_scan_against_foreign_graph(backend):
+def test_parallel_legality_scan_against_foreign_graph():
     """Edges that are not the trace graph's own edge set take the dedicated
     (parallelisable) legality path; results must match the serial scan."""
     base = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
@@ -128,8 +127,8 @@ def test_parallel_legality_scan_against_foreign_graph(backend):
         {0: SlotAssignment(2, 1), 1: SlotAssignment(4, 0), 2: SlotAssignment(2, 1)},
     )
     smaller = ConflictGraph.from_edges([(0, 2)], name="p2-cross")
-    serial = StreamedTrace(schedule, base, 64, backend=backend, chunk=7, jobs=1)
-    parallel = StreamedTrace(schedule, base, 64, backend=backend, chunk=7, jobs=3)
+    serial = StreamedTrace(schedule, base, 64, chunk=7, jobs=1)
+    parallel = StreamedTrace(schedule, base, 64, chunk=7, jobs=3)
     assert parallel.legality_scan(smaller) == serial.legality_scan(smaller)
     assert parallel.legality_scan(smaller, fail_fast=True) == \
         serial.legality_scan(smaller, fail_fast=True)
@@ -151,39 +150,35 @@ def test_chunk_blocks_partition_is_contiguous_and_complete():
             assert expected == num_chunks
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_block_width_one(backend):
+def test_block_width_one():
     """chunk=1 → every block scans single-holiday chunks."""
     graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    serial = StreamedTrace(schedule, graph, 17, backend=backend, chunk=1, jobs=1)
-    parallel = StreamedTrace(schedule, graph, 17, backend=backend, chunk=1, jobs=3)
+    serial = StreamedTrace(schedule, graph, 17, chunk=1, jobs=1)
+    parallel = StreamedTrace(schedule, graph, 17, chunk=1, jobs=3)
     assert summary_state(parallel) == summary_state(serial)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_more_workers_than_chunks(backend):
+def test_more_workers_than_chunks():
     """jobs exceeding the chunk count must clamp, not crash or diverge."""
     graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
     schedule = get_scheduler("round-robin-color").build(graph, seed=0)
-    serial = StreamedTrace(schedule, graph, 60, backend=backend, chunk=50, jobs=1)
-    parallel = StreamedTrace(schedule, graph, 60, backend=backend, chunk=50, jobs=5)
+    serial = StreamedTrace(schedule, graph, 60, chunk=50, jobs=1)
+    parallel = StreamedTrace(schedule, graph, 60, chunk=50, jobs=5)
     assert parallel._source.num_chunks() == 2  # far fewer chunks than workers
     assert summary_state(parallel) == summary_state(serial)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_chunk_takes_serial_path(backend):
+def test_single_chunk_takes_serial_path():
     """One chunk cannot be split: jobs>1 must quietly run the serial scan."""
     graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    serial = StreamedTrace(schedule, graph, 40, backend=backend, chunk=200, jobs=1)
-    parallel = StreamedTrace(schedule, graph, 40, backend=backend, chunk=200, jobs=4)
+    serial = StreamedTrace(schedule, graph, 40, chunk=200, jobs=1)
+    parallel = StreamedTrace(schedule, graph, 40, chunk=200, jobs=4)
     assert summary_state(parallel) == summary_state(serial)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_explicit_prefix_is_sliced_not_shipped_whole(backend):
+def test_explicit_prefix_is_sliced_not_shipped_whole():
     """A non-cyclic ExplicitSchedule is just a validated list: workers must
     receive their block's slice (like a raw sequence), not a full copy of
     the prefix per block — and produce the serial summary exactly."""
@@ -192,19 +187,19 @@ def test_explicit_prefix_is_sliced_not_shipped_whole(backend):
     graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
     sets = [[t % 3] if t % 5 else [] for t in range(70)]
     schedule = ExplicitSchedule(graph, sets, cyclic=False)
-    parallel = StreamedTrace(schedule, graph, 70, backend=backend, chunk=6, jobs=3)
+    parallel = StreamedTrace(schedule, graph, 70, chunk=6, jobs=3)
     source = parallel._parallel_source()
     assert isinstance(source, list)  # sliceable, not the Schedule object
     payload = parallel._block_payload(source, 2, 3)
     assert payload[0] == [frozenset(s) for s in sets[12:30]]  # the slice only
     assert payload[-1] == 12  # global holiday offset
-    serial = StreamedTrace(schedule, graph, 70, backend=backend, chunk=6, jobs=1)
+    serial = StreamedTrace(schedule, graph, 70, chunk=6, jobs=1)
     assert summary_state(parallel) == summary_state(serial)
 
     # a too-short prefix must keep failing the serial way (IndexError at
     # scan), so it is excluded from slicing
     short = ExplicitSchedule(graph, sets[:10], cyclic=False)
-    assert StreamedTrace(short, graph, 70, backend=backend, chunk=6, jobs=3)._parallel_source() is None
+    assert StreamedTrace(short, graph, 70, chunk=6, jobs=3)._parallel_source() is None
 
 
 def test_generator_schedules_fall_back_to_serial():

@@ -4,8 +4,7 @@ The contract of :class:`repro.core.trace.TraceMatrix` is *exact* agreement
 with the frozenset reference (``backend="sets"`` /
 :class:`repro.core.metrics.HappinessTrace`) on every metric, every
 validation check and every registered scheduler.  These tests sweep random
-graphs × all registered schedulers × both matrix backends and assert
-equality — hypothesis-style via seeded randomness rather than an external
+graphs × all registered schedulers and assert equality — hypothesis-style via seeded randomness rather than an external
 dependency.
 """
 
@@ -28,11 +27,11 @@ from repro.core import trace as trace_module
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
-from repro.core.trace import TraceMatrix, numpy_available, resolve_backend
+from repro.core.trace import TraceMatrix, resolve_backend
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 
 def cfg(backend=None, mode=None, chunk=None, jobs=None):
@@ -58,7 +57,7 @@ def random_graphs(seeds):
 
 class TestBackendResolution:
     def test_auto_resolves(self):
-        assert resolve_backend("auto") in ("numpy", "bitmask")
+        assert resolve_backend("auto") == "numpy"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -73,16 +72,15 @@ class TestBackendResolution:
 # engine-level equality on hand-crafted schedules
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestTraceMatrixBasics:
-    def test_periodic_fast_path(self, backend):
+    def test_periodic_fast_path(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = PeriodicSchedule(
             graph,
             {0: SlotAssignment(2, 1), 1: SlotAssignment(4, 0), 2: SlotAssignment(2, 1)},
         )
         horizon = 23
-        matrix = schedule.trace(horizon, backend=backend)
+        matrix = schedule.trace(horizon)
         reference = HappinessTrace.from_schedule(schedule, graph, horizon)
         for p in graph.nodes():
             assert matrix.appearances(p) == reference.appearances[p]
@@ -91,49 +89,47 @@ class TestTraceMatrixBasics:
             assert matrix.observed_period(p) == reference.observed_period(p)
             assert matrix.happiness_rate(p) == reference.happiness_rate(p)
 
-    def test_happy_set_columns(self, backend):
+    def test_happy_set_columns(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = ExplicitSchedule(graph, [[0, 2], [1], [], [0]])
-        matrix = schedule.trace(4, backend=backend)
+        matrix = schedule.trace(4)
         for t in range(1, 5):
             assert matrix.happy_set(t) == schedule.happy_set(t)
         with pytest.raises(ValueError):
             matrix.happy_set(5)
 
-    def test_cyclic_tiling(self, backend):
+    def test_cyclic_tiling(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = ExplicitSchedule(graph, [[0, 2], [1], []], cyclic=True)
         horizon = 17  # not a multiple of the cycle
-        matrix = schedule.trace(horizon, backend=backend)
+        matrix = schedule.trace(horizon)
         reference = HappinessTrace.from_schedule(schedule, graph, horizon)
         for p in graph.nodes():
             assert matrix.appearances(p) == reference.appearances[p]
             assert matrix.gaps(p) == reference.gaps(p)
 
-    def test_never_happy_node(self, backend):
+    def test_never_happy_node(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         schedule = ExplicitSchedule(graph, [[0], [0], [0]])
-        matrix = schedule.trace(3, backend=backend)
+        matrix = schedule.trace(3)
         assert matrix.gaps(1) == [3]
         assert matrix.mul(1) == 3
         assert matrix.count(1) == 0
         assert matrix.observed_period(1) is None
 
-    def test_edge_collisions(self, backend):
+    def test_edge_collisions(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         # deliberately illegal: both endpoints happy at holidays 2 and 5
-        matrix = TraceMatrix.from_schedule(
-            [[0], [0, 1], [], [1], [0, 1]], graph, 5, backend=backend
-        )
+        matrix = TraceMatrix.from_schedule([[0], [0, 1], [], [1], [0, 1]], graph, 5)
         assert matrix.edge_collisions(0, 1) == [2, 5]
         assert matrix.conflicting_holidays() == {2: [(0, 1)], 5: [(0, 1)]}
 
-    def test_unknown_nodes_recorded(self, backend):
+    def test_unknown_nodes_recorded(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
-        matrix = TraceMatrix.from_schedule([[0], [99], [1]], graph, 3, backend=backend)
+        matrix = TraceMatrix.from_schedule([[0], [99], [1]], graph, 3)
         assert matrix.unknown == [(2, 99)]
 
-    def test_periodic_schedule_against_mismatched_graph(self, backend):
+    def test_periodic_schedule_against_mismatched_graph(self):
         """A periodic schedule evaluated on a *different* graph must match
         the reference: extra graph nodes are never happy, extra scheduled
         nodes surface as unknown-node violations (not the fast path)."""
@@ -143,12 +139,12 @@ class TestTraceMatrixBasics:
             {0: SlotAssignment(2, 1), 1: SlotAssignment(2, 0), 2: SlotAssignment(2, 1)},
         )
         bigger = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 3)], name="p4")
-        fast = max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend=backend))
+        fast = max_unhappiness_lengths(schedule, bigger, 6)
         assert fast == max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend="sets"))
         assert fast[3] == 6  # in the graph, never scheduled
 
         smaller = ConflictGraph.from_edges([(0, 1)], name="p2")
-        fast_report = check_independent_sets(schedule, smaller, 4, config=cfg(backend=backend))
+        fast_report = check_independent_sets(schedule, smaller, 4)
         reference = check_independent_sets(schedule, smaller, 4, config=cfg(backend="sets"))
         assert [(v.kind, v.holiday) for v in fast_report.violations] == \
             [(v.kind, v.holiday) for v in reference.violations]
@@ -156,21 +152,20 @@ class TestTraceMatrixBasics:
 
 
 # ---------------------------------------------------------------------------
-# numpy bulk queries: one whole-matrix sweep ≡ the per-node / per-edge queries
+# bulk queries: one whole-matrix sweep ≡ the per-node / per-edge queries
 # ---------------------------------------------------------------------------
 
 def _random_numpy_trace(seed):
-    """A random (often illegal) happy-set sequence observed as a numpy trace,
+    """A random (often illegal) happy-set sequence observed as a trace,
     with empty, single-appearance and dense rows across seeds."""
     rng = random.Random(seed)
     graph = erdos_renyi(rng.randint(2, 15), 0.4, seed=seed, name=f"bulk-{seed}")
     horizon = rng.randint(1, 40)
     density = rng.choice([0.0, 0.05, 0.3, 0.9])
     sets = [[p for p in graph.nodes() if rng.random() < density] for _ in range(horizon)]
-    return graph, TraceMatrix.from_schedule(sets, graph, horizon, backend="numpy")
+    return graph, TraceMatrix.from_schedule(sets, graph, horizon)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy arm only")
 @pytest.mark.parametrize("seed", range(25))
 def test_numpy_bulk_summaries_match_per_node_queries(seed, monkeypatch):
     graph, matrix = _random_numpy_trace(seed)
@@ -180,7 +175,6 @@ def test_numpy_bulk_summaries_match_per_node_queries(seed, monkeypatch):
     assert matrix.observed_periods() == {p: matrix.observed_period(p) for p in graph.nodes()}
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy arm only")
 @pytest.mark.parametrize("seed", range(25))
 def test_numpy_conflicting_holidays_match_per_edge_queries(seed, monkeypatch):
     graph, matrix = _random_numpy_trace(seed)
@@ -199,7 +193,7 @@ def test_numpy_conflicting_holidays_match_per_edge_queries(seed, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(6))
 def test_all_schedulers_metrics_match_reference(backend, seed):
     """Vectorized metrics must be exactly equal to backend="sets" everywhere."""
     for graph in random_graphs([seed * 10 + 3, seed * 10 + 7]):
@@ -239,17 +233,6 @@ def test_metric_helpers_match_reference(backend):
         observed_periods(schedule, graph, horizon, config=cfg(backend="sets"))
     assert happiness_rates(schedule, graph, horizon, config=cfg(backend=backend)) == \
         happiness_rates(schedule, graph, horizon, config=cfg(backend="sets"))
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy backend unavailable")
-def test_numpy_and_bitmask_agree_bit_for_bit():
-    graph = erdos_renyi(12, 0.3, seed=9, name="gnp-12")
-    for name in available_schedulers():
-        schedule = get_scheduler(name).build(graph, seed=2)
-        a = TraceMatrix.from_schedule(schedule, graph, 64, backend="numpy")
-        b = TraceMatrix.from_schedule(schedule, graph, 64, backend="bitmask")
-        for p in graph.nodes():
-            assert a.appearances(p) == b.appearances(p), (name, p)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +287,7 @@ def test_shared_trace_validates_against_passed_graphs_edges(backend):
     loose = ConflictGraph(edges=[(0, 1)], nodes=[2], name="loose")
     strict = ConflictGraph.from_edges([(0, 1), (1, 2)], name="strict")
     sets = [[0], [1, 2], [0]]  # legal on loose, illegal on strict at holiday 2
-    matrix = TraceMatrix.from_schedule(sets, loose, 3, backend=backend)
+    matrix = TraceMatrix.from_schedule(sets, loose, 3)
     assert check_independent_sets(sets, loose, 3, trace=matrix, config=cfg(backend=backend)).ok
     strict_report = check_independent_sets(sets, strict, 3, trace=matrix, config=cfg(backend=backend))
     assert [(v.kind, v.holiday) for v in strict_report.violations] == [("not-independent", 2)]

@@ -1,8 +1,7 @@
 """Tests for the radio application substrate (deployment, interference, simulation, energy)."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the [fast] extra; absent on minimal installs
 
 from repro.algorithms.degree_periodic import DegreePeriodicScheduler
 from repro.algorithms.phased_greedy import PhasedGreedyScheduler

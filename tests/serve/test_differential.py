@@ -1,6 +1,6 @@
 """The differential contract: service JSON ≡ library-path answers.
 
-For every registered scheduler × both matrix backends, the JSON a running
+For every registered scheduler × both engines, the JSON a running
 server returns from ``/evaluate``, ``/validate``, ``/report`` and
 ``/synthesize`` must equal the answer computed in-process through
 :class:`repro.api.Session` and rendered by the *same* serializers
@@ -19,7 +19,6 @@ import pytest
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.api import Session
 from repro.core.config import EngineConfig
-from repro.core.trace import numpy_available
 from repro.graphs.suites import available_workloads, get_workload
 from repro.serve import report_payload, schedule_payload, validation_payload
 
@@ -27,7 +26,8 @@ WORKLOAD = "small/path"
 HORIZON = 48
 SEED = 3
 
-BACKENDS = ["bitmask"] + (["numpy"] if numpy_available() else [])
+#: the numpy trace engine and the frozenset reference it is checked against.
+BACKENDS = ["numpy", "sets"]
 
 
 def roundtrip(payload):
@@ -97,10 +97,10 @@ class TestEverySchedulerEveryBackend:
 @pytest.mark.parametrize("algorithm", available_schedulers())
 def test_synthesize_matches_library(client, algorithm):
     status, body = client.post(
-        "/synthesize", query(algorithm, "bitmask", holidays=8)
+        "/synthesize", query(algorithm, "numpy", holidays=8)
     )
     assert status == 200, body
-    graph, schedule, _ = library_answer(algorithm, "bitmask")
+    graph, schedule, _ = library_answer(algorithm, "numpy")
     assert body["schedule"] == roundtrip(schedule_payload(schedule, 8))
 
 
@@ -146,14 +146,25 @@ class TestSemantics:
         assert scaled["n"] == 120
 
     def test_backends_agree_with_each_other(self, client):
-        """The service-side cross-backend differential: numpy and bitmask
-        answers are identical JSON (they share everything but the cell
-        storage)."""
-        if len(BACKENDS) < 2:
-            pytest.skip("numpy not installed")
+        """The service-side cross-backend differential: the numpy trace
+        engine and the frozenset reference answer with identical JSON."""
         answers = []
-        for backend in BACKENDS:
+        for backend in ("numpy", "sets"):
             status, body = client.post("/evaluate", query("degree-periodic", backend))
             assert status == 200
             answers.append(body["report"])
         assert answers[0] == answers[1]
+
+    def test_legacy_bitmask_config_answers_like_numpy(self, client):
+        """``"bitmask"`` is still accepted in a request's config, as the old
+        spelling of the numpy engine: the answer is the numpy answer."""
+        bodies = []
+        for backend in ("bitmask", "numpy"):
+            status, body = client.post("/report", query("degree-periodic", backend))
+            assert status == 200, body
+            bodies.append(body)
+        legacy, current = bodies
+        assert legacy["ok"] == current["ok"]
+        assert legacy["summary"] == current["summary"]
+        assert legacy["report"] == current["report"]
+        assert legacy["validation"] == current["validation"]

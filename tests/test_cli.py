@@ -116,15 +116,18 @@ class TestSchedule:
 
     def test_schedule_backend_selection_is_observation_equivalent(self, graph_file, capsys):
         outputs = {}
-        for backend in ("auto", "bitmask", "sets"):
+        for backend in ("auto", "numpy", "sets"):
             code = main(["schedule", graph_file, "--backend", backend, "--calendar-years", "4"])
             assert code == 0
             outputs[backend] = capsys.readouterr().out
-        assert outputs["auto"] == outputs["bitmask"] == outputs["sets"]
+        assert outputs["auto"] == outputs["numpy"] == outputs["sets"]
 
     def test_schedule_rejects_unknown_backend(self, graph_file):
         with pytest.raises(SystemExit):
             main(["schedule", graph_file, "--backend", "cuda"])
+        # the legacy spelling is a spec-file alias only, not a flag choice
+        with pytest.raises(SystemExit):
+            main(["schedule", graph_file, "--backend", "bitmask"])
 
     def test_schedule_horizon_modes_are_observation_equivalent(self, graph_file, capsys):
         outputs = {}
@@ -399,19 +402,19 @@ class TestExperiment:
             config=EngineConfig(horizon_mode="stream", chunk=16),
         ).to_json(spec_path)
         code = main([
-            "experiment", "--spec", str(spec_path), "--backend", "bitmask",
+            "experiment", "--spec", str(spec_path), "--backend", "numpy",
             "--output", str(out), "--save-spec", str(tmp_path / "resolved.json"),
         ])
         assert code == 0
         resolved = ExperimentSpec.from_json(tmp_path / "resolved.json")
         assert resolved.config == EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=16
+            backend="numpy", horizon_mode="stream", chunk=16
         )
         from repro.analysis.records import ResultSet
 
         records = ResultSet.from_jsonl(out)
         assert [r.params["horizon_mode"] for r in records] == ["stream"]
-        assert [r.params["backend"] for r in records] == ["bitmask"]
+        assert [r.params["backend"] for r in records] == ["numpy"]
 
     def test_flat_spec_json_is_a_one_line_error(self, tmp_path):
         """A pre-consolidation spec file (flat backend/horizon_mode keys)
@@ -546,13 +549,13 @@ class TestServe:
             tmp_path,
             "--cache-bytes", "12345",
             "--max-horizon", "777",
-            "--backend", "bitmask",
+            "--backend", "numpy",
             "--store", str(tmp_path / "s.sqlite"),
         )
         try:
             assert service.cache.max_bytes == 12345
             assert service.max_horizon == 777
-            assert service.config.backend == "bitmask"
+            assert service.config.backend == "numpy"
             assert service.store is not None
             assert (tmp_path / "s.sqlite").exists()
         finally:
