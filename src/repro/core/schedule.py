@@ -157,8 +157,10 @@ class PeriodicSchedule(Schedule):
                 )
 
     @staticmethod
-    def _congruence_collision(a: SlotAssignment, b: SlotAssignment) -> Optional[int]:
-        """Return the earliest colliding holiday for two assignments, or None.
+    def _congruence_class(a: SlotAssignment, b: SlotAssignment) -> Optional[Tuple[int, int]]:
+        """Return ``(first, modulus)`` for the holidays at which two
+        assignments are both happy — ``first, first + modulus, ...`` — or
+        None when they never are.
 
         By the Chinese Remainder Theorem the congruences
         ``t ≡ φ_a (mod τ_a)`` and ``t ≡ φ_b (mod τ_b)`` have a common
@@ -175,14 +177,21 @@ class PeriodicSchedule(Schedule):
         m = b.period // g
         k = ((b.phase - a.phase) // g * pow(a.period // g, -1, m)) % m
         t0 = (a.phase + a.period * k) % lcm
-        return t0 if t0 >= 1 else lcm  # holidays are numbered from 1
+        return (t0 if t0 >= 1 else lcm), lcm  # holidays are numbered from 1
+
+    @staticmethod
+    def _congruence_collision(a: SlotAssignment, b: SlotAssignment) -> Optional[int]:
+        """Return the earliest colliding holiday for two assignments, or None
+        (the first member of :meth:`_congruence_class`)."""
+        collision = PeriodicSchedule._congruence_class(a, b)
+        return None if collision is None else collision[0]
 
     def find_conflict(self) -> Optional[Tuple[Node, Node, int]]:
         """Return ``(u, v, holiday)`` for some conflicting adjacent pair, or None."""
         for u, v in self.graph.edges():
-            collision = self._congruence_collision(self.assignments[u], self.assignments[v])
+            collision = self._congruence_class(self.assignments[u], self.assignments[v])
             if collision is not None:
-                return u, v, collision
+                return u, v, collision[0]
         return None
 
     def happy_set(self, holiday: int) -> FrozenSet[Node]:

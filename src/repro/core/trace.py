@@ -47,13 +47,19 @@ Construction fast paths (see :meth:`TraceMatrix.from_schedule`):
 The streaming fast paths mirror these: periodic and cyclic schedules tile
 straight into each chunk from the assignment table / one materialised cycle
 (no prefix is ever built), while generic schedules materialise one chunk of
-happy sets at a time.  :class:`~repro.core.schedule.GeneratorSchedule`
-memoises what it has produced (its future depends on its past); constructed
+happy sets at a time.  A perfectly periodic schedule's *summaries* need no
+chunk at all: :meth:`StreamedTrace._scan` fills the per-node run-length
+state by arithmetic on ``(period, phase)`` and each edge's collisions as
+its CRT residue class, in ``O(n + m + collisions)`` whatever the horizon;
+only per-appearance queries still tile chunks.
+:class:`~repro.core.schedule.GeneratorSchedule` memoises what it has
+produced (its future depends on its past); constructed
 with a ``window=`` it evicts holidays far behind the generation frontier, so
 aperiodic generator-backed schedulers also stream at bounded memory (at the
 price of supporting a single forward pass — see the class notes).
 
-Parallel streaming (``jobs=``): :meth:`StreamedTrace._scan` folds chunks
+Parallel streaming (``jobs=``; no effect on the closed-form periodic
+summaries): :meth:`StreamedTrace._scan` folds chunks
 through an *associative* accumulator (:meth:`_NodeStreamStats.absorb` per
 chunk, :meth:`_NodeStreamStats.merge` across chunk ranges), so the summary
 pass — and the dedicated per-appearance passes behind ``appearances`` /
@@ -115,6 +121,7 @@ from repro.core.schedule import (
     GeneratorSchedule,
     PeriodicSchedule,
     Schedule,
+    SlotAssignment,
 )
 
 _LOG = logging.getLogger(__name__)
@@ -547,7 +554,9 @@ class TraceStream:
     * :class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the
       graph's nodes) — every chunk comes straight from the ``(period,
       phase)`` table shifted to the chunk's window; no prefix exists at any
-      point.
+      point.  :class:`StreamedTrace` builds such chunks only for
+      per-appearance queries: its summaries and legality scans of a
+      periodic schedule are closed form.
     * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle is
       materialised once, then every chunk is a rotated tiling of it.
     * everything else — one chunk of happy sets is materialised at a time
@@ -764,6 +773,32 @@ def _fold_legality_block(
             collisions.setdefault(t, []).append((u, v))
 
 
+def _periodic_node_stats(slot: SlotAssignment, horizon: int) -> _NodeStreamStats:
+    """The summary a chunk fold builds for one perfectly periodic node, by
+    arithmetic: the node is happy exactly at ``first, first + τ, ...``, so
+    every inter-appearance difference is ``τ``."""
+    stats = _NodeStreamStats()
+    first = slot.next_happy(1)
+    if first <= horizon:
+        stats.count = (horizon - first) // slot.period + 1
+        stats.first = first
+        stats.last = first + (stats.count - 1) * slot.period
+        if stats.count >= 2:
+            stats.max_diff = slot.period
+            stats.diffs = {slot.period}
+    return stats
+
+
+def _residue_hits(collision: Optional[Tuple[int, int]], last: int) -> range:
+    """The holidays up to ``last`` of a CRT residue class ``(first,
+    modulus)`` from :meth:`PeriodicSchedule._congruence_class` (None: no
+    holiday)."""
+    if collision is None:
+        return range(0)
+    first, modulus = collision
+    return range(first, last + 1, modulus)
+
+
 def _chunk_blocks(num_chunks: int, parts: int) -> List[Tuple[int, int]]:
     """Split chunk indices ``0..num_chunks-1`` into at most ``parts``
     contiguous ``(first_chunk, chunk_count)`` blocks of near-equal size."""
@@ -929,6 +964,15 @@ class StreamedTrace:
     output — inherent to the question, not to the engine.  Differential
     tests (``tests/core/test_stream.py``) assert exact agreement with the
     dense engine on every query and chunk width.
+
+    Perfectly periodic schedules skip the chunks for everything but those
+    per-appearance queries: the summary state is filled in closed form
+    (:meth:`_scan_closed_form`), and ``legality_scan`` against any edge
+    list, with or without ``fail_fast``, and ``edge_collisions`` for
+    non-edges answer by per-edge CRT — returning exactly what the chunk
+    scan would, down to the ``fail_fast`` chunk boundary
+    (``tests/core/test_periodic_closed_form.py``).  ``jobs`` has no
+    effect on them.
 
     Parallelism: with ``jobs > 1`` the summary pass, the legality scan
     *and* the dedicated per-appearance passes split the chunk sequence
@@ -1140,6 +1184,9 @@ class StreamedTrace:
     def _scan(self) -> None:
         if self._stats is not None:
             return
+        if self._source._kind == "periodic":
+            self._scan_closed_form()
+            return
         source = self._parallel_plan()
         if source is not None:
             self._scan_parallel(source)
@@ -1154,6 +1201,53 @@ class StreamedTrace:
         self._stats = stats
         self._collisions = {edge: collisions[k] for k, edge in enumerate(edges)}
         self._unknown = unknown
+
+    def _scan_closed_form(self) -> None:
+        """The summary pass of a perfectly periodic schedule, in closed form.
+
+        Fills exactly the state the chunk fold would — per-node
+        :class:`_NodeStreamStats` by arithmetic on ``(period, phase)``,
+        per-edge collisions as the edge's CRT residue class up to the
+        horizon (non-empty only for a schedule built with
+        ``check_conflicts=False``), and no unknown nodes, since the table
+        covers exactly the graph — in ``O(n + m + collisions)`` with no
+        chunk ever built.
+        """
+        slots = self.schedule.assignments
+        self._stats = [_periodic_node_stats(slots[p], self.horizon) for p in self._order]
+        self._collisions = {
+            (u, v): list(self._periodic_hits(u, v)) for u, v in self.graph.edges()
+        }
+        self._unknown = []
+
+    def _periodic_hits(self, u: Node, v: Node) -> range:
+        """Holidays within the horizon at which periodic nodes ``u`` and
+        ``v`` are both happy."""
+        slots = self.schedule.assignments
+        return _residue_hits(PeriodicSchedule._congruence_class(slots[u], slots[v]), self.horizon)
+
+    def _periodic_legality(
+        self, edges: Sequence[Tuple[Node, Node]], fail_fast: bool
+    ) -> Dict[int, List[Tuple[Node, Node]]]:
+        """Legality collisions of a periodic schedule against ``edges`` by
+        per-edge CRT.  Under ``fail_fast`` only the chunk holding the
+        earliest collision is reported, every edge's hits inside it — the
+        evidence the chunk scan stops with."""
+        slots = self.schedule.assignments
+        classes = [PeriodicSchedule._congruence_class(slots[u], slots[v]) for u, v in edges]
+        last = self.horizon
+        if fail_fast:
+            firsts = [c[0] for c in classes if c is not None and c[0] <= last]
+            if not firsts:
+                return {}
+            # the end of the chunk holding the earliest collision; no class
+            # starts before that chunk does
+            last = min((min(firsts) - 1) // self.chunk * self.chunk + self.chunk, self.horizon)
+        collisions: Dict[int, List[Tuple[Node, Node]]] = {}
+        for (u, v), collision in zip(edges, classes):
+            for t in _residue_hits(collision, last):
+                collisions.setdefault(t, []).append((u, v))
+        return collisions
 
     def _scan_parallel(self, source) -> None:
         """The summary pass, fanned out over contiguous blocks of chunks.
@@ -1346,12 +1440,15 @@ class StreamedTrace:
         """Holidays at which ``u`` and ``v`` are simultaneously happy.
 
         Pairs that are edges of the trace's own graph come from the cached
-        summary pass; any other pair gets a dedicated per-chunk row-AND scan.
+        summary pass; any other pair gets its CRT residue class on a
+        periodic schedule and a dedicated per-chunk row-AND scan otherwise.
         """
         self._scan()
         for key in ((u, v), (v, u)):
             if key in self._collisions:
                 return list(self._collisions[key])
+        if self._source._kind == "periodic":
+            return list(self._periodic_hits(u, v))
         i, j = self._index[u], self._index[v]
         out: List[int] = []
         for start, block in self._pass_blocks():
@@ -1378,11 +1475,13 @@ class StreamedTrace:
         containing any violation — later chunks are never built, which is
         the early-exit the streaming validator advertises.  Without
         ``fail_fast``, edges matching the trace's own graph reuse the cached
-        summary pass instead of streaming again.  With ``jobs > 1`` the scan
-        fans chunk blocks out to worker processes (checkpointable generator
-        schedules included, via their resume handles); under ``fail_fast``
-        the parent merges block results in order and cancels every
-        outstanding block past the first violating chunk.
+        summary pass instead of streaming again; a periodic schedule
+        answers every other case by per-edge CRT, building no chunk.  With
+        ``jobs > 1`` the scan fans chunk blocks out to worker processes
+        (checkpointable generator schedules included, via their resume
+        handles); under ``fail_fast`` the parent merges block results in
+        order and cancels every outstanding block past the first violating
+        chunk.
         """
         edges = graph.edges()
         if not fail_fast and edges == self.graph.edges():
@@ -1395,6 +1494,8 @@ class StreamedTrace:
                 for t in self._collisions[(u, v)]:
                     collisions.setdefault(t, []).append((u, v))
             return unknown_by_holiday, collisions
+        if self._source._kind == "periodic":
+            return {}, self._periodic_legality(edges, fail_fast)
         edge_rows = [(self._index[u], self._index[v]) for u, v in edges]
         source = self._parallel_plan()
         if source is not None:

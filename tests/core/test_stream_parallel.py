@@ -313,3 +313,74 @@ def test_run_scheduler_parallel_stream_matches_serial_and_records_jobs():
     assert parallel.horizon_mode == "stream"
     assert parallel.report.summary() == serial.report.summary()
     assert report_tuples(parallel.validation) == report_tuples(serial.validation)
+
+
+# ---------------------------------------------------------------------------
+# the fan-out on periodic schedules fed as raw happy-set sequences
+# ---------------------------------------------------------------------------
+
+PERIODIC_SCHEDULERS = [n for n in available_schedulers() if get_scheduler(n).info.periodic]
+
+
+@pytest.fixture
+def fan_out_calls(monkeypatch):
+    """Names of the fan-out passes parallel traces actually ran."""
+    calls = []
+    for attr in ("_scan_parallel", "_legality_scan_parallel", "_row_positions_parallel"):
+        original = getattr(StreamedTrace, attr)
+
+        def spy(self, *args, _original=original, _attr=attr, **kwargs):
+            result = _original(self, *args, **kwargs)
+            if result is not None or _attr != "_row_positions_parallel":
+                calls.append(_attr)
+            return result
+
+        monkeypatch.setattr(StreamedTrace, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", (7, 16))  # does not / does divide 96
+def test_periodic_prefix_parallel_matches_serial(chunk, fan_out_calls):
+    """A periodic schedule's summaries are closed form, so the periodic
+    cases above compare that arithmetic with itself.  Fed as its raw
+    prefix, the same schedule takes the worker-block fan-out of the
+    summary pass, the legality scan and the per-appearance pass, and
+    jobs=3 must still reproduce jobs=1 — and the closed form."""
+    graph = erdos_renyi(12, 0.3, seed=6, name="gnp-12")
+    foreign = ConflictGraph.from_edges([(u, v) for u in graph.nodes() for v in graph.nodes()
+                                        if u < v and not graph.has_edge(u, v)][:15])
+    assert PERIODIC_SCHEDULERS
+    for name in PERIODIC_SCHEDULERS:
+        schedule = get_scheduler(name).build(graph, seed=5)
+        sets = schedule.prefix(HORIZON)
+        serial = StreamedTrace(sets, graph, HORIZON, chunk=chunk, jobs=1)
+        parallel = StreamedTrace(sets, graph, HORIZON, chunk=chunk, jobs=3)
+        closed = StreamedTrace(schedule, graph, HORIZON, chunk=chunk, jobs=3)
+        assert summary_state(parallel) == summary_state(serial) == summary_state(closed), name
+        for against in (graph, foreign):
+            for fail_fast in (False, True):
+                assert parallel.legality_scan(against, fail_fast=fail_fast) == \
+                    serial.legality_scan(against, fail_fast=fail_fast), (name, fail_fast)
+        assert parallel.all_gaps() == serial.all_gaps() == closed.all_gaps(), name
+    assert {"_scan_parallel", "_legality_scan_parallel", "_row_positions_parallel"} \
+        <= set(fan_out_calls)
+
+
+@pytest.mark.parametrize("fail_fast", (False, True))
+def test_colliding_periodic_prefix_parallel_matches_serial(fail_fast, fan_out_calls):
+    """A periodic table built with ``check_conflicts=False`` collides on
+    its edges; fed as a raw prefix, the fanned-out reports must equal the
+    serial scan's and the closed form's, violation for violation."""
+    graph = erdos_renyi(10, 0.4, seed=2, name="gnp-10")
+    table = {p: SlotAssignment(2 + i % 5, i % 3) for i, p in enumerate(graph.nodes())}
+    schedule = PeriodicSchedule(graph, table, check_conflicts=False)
+    assert schedule.find_conflict() is not None
+    sets = schedule.prefix(HORIZON)
+    reports = [
+        check_independent_sets(source, graph, HORIZON, fail_fast=fail_fast,
+                               config=cfg(mode="stream", chunk=7, jobs=jobs))
+        for source, jobs in ((sets, 1), (sets, 3), (schedule, 3))
+    ]
+    assert reports[0].violations
+    assert report_tuples(reports[1]) == report_tuples(reports[0]) == report_tuples(reports[2])
+    assert ("_legality_scan_parallel" if fail_fast else "_scan_parallel") in fan_out_calls
