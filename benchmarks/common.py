@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
@@ -257,6 +258,32 @@ def bench_output_dir() -> Path:
     return Path(os.environ.get("REPRO_BENCH_DIR", "."))
 
 
+def environment_stamp() -> Dict[str, object]:
+    """What a result must carry so two results compare commits, not
+    machines: the interpreter, numpy, the trace backend ``auto`` resolves
+    to, the core count and the checkout's git sha (``"unknown"`` outside a
+    git checkout).  The same fields as ``perfbench/common.py`` stamps."""
+    import numpy
+
+    from repro.core.trace import resolve_backend
+
+    sha = "unknown"
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "trace_backend": resolve_backend("auto"),
+        "cpu_count": os.cpu_count(),
+        "git_sha": sha,
+    }
+
+
 def write_bench_json(
     name: str,
     records: Sequence[Mapping[str, object]],
@@ -264,14 +291,16 @@ def write_bench_json(
 ) -> Path:
     """Write ``BENCH_<name>.json`` and return its path.
 
-    The payload is ``{"experiment", "created", "python", "records": [...]}``
-    plus any ``meta`` pairs — flat JSON, append-friendly for CI artifact
-    upload and later cross-PR comparison.
+    The payload is ``{"experiment", "created", "python", "env", "records":
+    [...]}`` plus any ``meta`` pairs — flat JSON apart from ``records`` and
+    the :func:`environment_stamp` in ``env``, append-friendly for CI
+    artifact upload and later cross-PR comparison.
     """
     payload: Dict[str, object] = {
         "experiment": name,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
+        "env": environment_stamp(),
         "records": [dict(r) for r in records],
     }
     if meta:

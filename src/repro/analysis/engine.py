@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Mapping,
@@ -93,7 +94,10 @@ __all__ = [
 _log = get_logger("analysis.engine")
 
 #: metric keys that measure wall-clock time and therefore legitimately
-#: differ between two otherwise identical runs of the same spec.
+#: differ between two otherwise identical runs of the same spec.  In a
+#: batched unit ``measure_seconds`` is an amortised share, not the cell's
+#: own wait: the stacked scan is split evenly over the unit's cells, and
+#: one evaluate + validate evenly over the cells sharing a schedule.
 TIMING_METRICS = ("build_seconds", "measure_seconds")
 
 #: record params the engine stamps on every cell; grid keys must not shadow
@@ -599,20 +603,41 @@ def _execute_indexed(
     return index, execute_cell(cell, graph=graph)
 
 
-def _resolve_cell_horizon(cell: ExperimentCell, graph: ConflictGraph) -> int:
+def _resolve_cell_horizon(
+    cell: ExperimentCell,
+    graph: ConflictGraph,
+    memo: Optional[Dict[Tuple, int]] = None,
+) -> int:
     """The horizon this cell will run at, resolved without building a
     schedule — :meth:`~repro.algorithms.base.Scheduler.bound_function` is
-    independent of :meth:`build`, so the planner and the batch worker both
-    reach exactly the horizon ``run_scheduler`` would."""
+    independent of :meth:`build`, so the planner reaches exactly the
+    horizon ``run_scheduler`` would.
+
+    ``memo`` caches the answer for one :meth:`ExperimentEngine.run` on
+    everything it depends on, so a seed sweep resolves once per graph and
+    scheduler, not once per cell (resolving instantiates the scheduler,
+    and for the colour schedulers re-runs a colouring).  The policy is
+    keyed by object identity, as in :func:`cell_ids_of`: the cells keep it
+    alive for the whole run.
+    """
     from repro.algorithms.registry import get_scheduler
 
     if cell.horizon is not None:
         return cell.horizon
+    key = (
+        _graph_cache_key(cell), cell.algorithm, id(cell.policy), cell.certify_bound,
+        cell.config.window,
+    )
+    if memo is not None and key in memo:
+        return memo[key]
     scheduler = get_scheduler(cell.algorithm)
     if cell.config.window is not None:
         scheduler = scheduler.with_window(cell.config.window)
     bound_fn = scheduler.bound_function(graph) if cell.certify_bound else None
-    return cell.policy.resolve(graph, bound_fn)
+    horizon = cell.policy.resolve(graph, bound_fn)
+    if memo is not None:
+        memo[key] = horizon
+    return horizon
 
 
 def _auto_batch_size(num_nodes: int, horizon: int, config: EngineConfig) -> int:
@@ -628,6 +653,7 @@ def _auto_batch_size(num_nodes: int, horizon: int, config: EngineConfig) -> int:
 def _plan_units(
     pending: Sequence[Tuple[int, ExperimentCell]],
     graphs: Mapping[Tuple[str, str], ConflictGraph],
+    horizons: Optional[Dict[Tuple, int]] = None,
 ) -> List[List[Tuple[int, ExperimentCell]]]:
     """Group pending cells into execution units.
 
@@ -637,16 +663,19 @@ def _plan_units(
     order within each group, are capped at ``config.batch`` members
     (default :func:`_auto_batch_size`), and ``backend="sets"`` cells — which
     have no matrix representation to stack — always run per-cell.
+    ``horizons`` is the run's :func:`_resolve_cell_horizon` memo; the
+    caller reads each multi-cell unit's horizon back from it.
     """
     units: List[List[Tuple[int, ExperimentCell]]] = []
     open_units: Dict[Tuple, List[Tuple[int, ExperimentCell]]] = {}
     for index, cell in pending:
         config = cell.config
-        graph = graphs[_graph_cache_key(cell)]
+        graph_key = _graph_cache_key(cell)
+        graph = graphs[graph_key]
         if config.backend == "sets" or config.batch == 1:
             units.append([(index, cell)])
             continue
-        horizon = _resolve_cell_horizon(cell, graph)
+        horizon = _resolve_cell_horizon(cell, graph, horizons)
         cap = (
             config.batch
             if config.batch is not None
@@ -655,7 +684,7 @@ def _plan_units(
         if cap <= 1:
             units.append([(index, cell)])
             continue
-        key = (_graph_cache_key(cell), horizon, config, cell.certify_bound)
+        key = (graph_key, horizon, config, cell.certify_bound)
         unit = open_units.get(key)
         if unit is None or len(unit) >= cap:
             unit = []
@@ -665,21 +694,46 @@ def _plan_units(
     return units
 
 
+def _unit_payload(
+    unit: List[Tuple[int, ExperimentCell]],
+    graphs: Mapping[Tuple[str, str], ConflictGraph],
+    horizons: Dict[Tuple, int],
+) -> Tuple[List[Tuple[int, ExperimentCell]], ConflictGraph, Optional[int]]:
+    """The :func:`_execute_batch` payload of a planned unit: the unit, its
+    graph and, for a multi-cell unit, the horizon the planner resolved
+    (read back from its memo).  A single cell resolves its own horizon in
+    :func:`execute_cell`, as ``run_scheduler`` always has."""
+    cell = unit[0][1]
+    graph = graphs[_graph_cache_key(cell)]
+    horizon = _resolve_cell_horizon(cell, graph, horizons) if len(unit) > 1 else None
+    return unit, graph, horizon
+
+
 def _execute_batch(
-    payload: Tuple[Sequence[Tuple[int, ExperimentCell]], Optional[ConflictGraph]]
+    payload: Tuple[Sequence[Tuple[int, ExperimentCell]], Optional[ConflictGraph], Optional[int]]
 ) -> List[Tuple[int, ExperimentRecord]]:
     """Run one planner unit and return its indexed records, in unit order.
 
-    Single-cell units take the ordinary :func:`execute_cell` path.  Larger
-    units build every member schedule, stack them into one
-    :class:`~repro.core.trace.TraceBatch`, run the stacked scan once, and
-    evaluate/validate each member through the unmodified metric and
-    validation entry points over its batch view — so every record is what
-    per-cell execution would have produced, modulo the timing metrics (the
-    shared scan cost is amortised evenly into each member's
-    ``measure_seconds``).
+    The payload is ``(unit, graph, horizon)``; the planner resolved the
+    horizon of every multi-cell unit.  Single-cell units take the ordinary
+    :func:`execute_cell` path.  Larger units build every member schedule,
+    so each cell keeps its own build time, seed and id, and then evaluate
+    each *distinct* schedule once.  Members sharing an algorithm, a
+    :meth:`~repro.core.schedule.Schedule.content_key` and the per-node
+    bounds form one group: equal keys mean equal happy sets at every
+    holiday, and the algorithm and bounds are the rest of what a record is
+    computed from.  A member whose key is None stays alone.  One
+    :class:`~repro.core.trace.TraceBatch` stacks one representative per
+    group and runs the stacked scan once; the unmodified metric and
+    validation entry points then run once per group over the
+    representative's batch view, and every member's record is assembled
+    from its group's shared report and validation — so every record is
+    what per-cell execution would have produced, modulo the timing
+    metrics.  ``measure_seconds`` is amortised: the shared scan is split
+    evenly over the unit's members, and a group's evaluate + validate time
+    evenly over the group's.
     """
-    indexed, graph = payload
+    indexed, graph, horizon = payload
     if len(indexed) == 1:
         index, cell = indexed[0]
         return [(index, execute_cell(cell, graph=graph))]
@@ -693,9 +747,10 @@ def _execute_batch(
     config = first_cell.config
     if graph is None:
         graph = get_workload(first_cell.workload, **_graph_params(first_cell))
-    horizon = _resolve_cell_horizon(first_cell, graph)
     built = []
-    for _, cell in indexed:
+    groups: List[List[int]] = []  # member positions, representative first
+    keyed: Dict[Hashable, List[int]] = {}
+    for position, (_, cell) in enumerate(indexed):
         scheduler = get_scheduler(cell.algorithm)
         if config.window is not None:
             scheduler = scheduler.with_window(config.window)
@@ -704,10 +759,19 @@ def _execute_batch(
         build_seconds = time.perf_counter() - start
         bound_fn = scheduler.bound_function(graph) if cell.certify_bound else None
         built.append((scheduler, schedule, bound_fn, build_seconds))
+        content = schedule.content_key()
+        if content is None:
+            group: List[int] = []
+        else:
+            bounds = None if bound_fn is None else tuple(map(bound_fn, graph.nodes()))
+            group = keyed.setdefault((cell.algorithm, content, bounds), [])
+        if not group:  # a new group, with this member as its representative
+            groups.append(group)
+        group.append(position)
     engine_choice = config.resolve(graph.num_nodes(), horizon)
     start = time.perf_counter()
     batch = TraceBatch(
-        [schedule for _, schedule, _, _ in built],
+        [built[group[0]][1] for group in groups],
         graph,
         horizon,
         horizon_mode=engine_choice.mode,
@@ -715,10 +779,9 @@ def _execute_batch(
     )
     batch.scan()
     shared_seconds = (time.perf_counter() - start) / len(indexed)
-    out: List[Tuple[int, ExperimentRecord]] = []
-    for member, ((index, cell), (scheduler, schedule, bound_fn, build_seconds)) in enumerate(
-        zip(indexed, built)
-    ):
+    out: Dict[int, Tuple[int, ExperimentRecord]] = {}  # by member position
+    for member, group in enumerate(groups):
+        scheduler, schedule, bound_fn, _ = built[group[0]]
         view = batch.member(member)
         start = time.perf_counter()
         report = evaluate_schedule(
@@ -735,29 +798,32 @@ def _execute_batch(
             trace=view,
             config=config,
         )
-        measure_seconds = (time.perf_counter() - start) + shared_seconds
+        measure_seconds = (time.perf_counter() - start) / len(group) + shared_seconds
         bound_satisfied = None
         if bound_fn is not None:
             bound_satisfied = not any(
                 v.kind == "bound-exceeded" for v in validation.violations
             )
-        outcome = RunOutcome(
-            scheduler_name=scheduler.name,
-            graph_name=graph.name,
-            horizon=horizon,
-            schedule=schedule,
-            report=report,
-            validation=validation,
-            build_seconds=build_seconds,
-            bound_satisfied=bound_satisfied,
-            backend=config.backend,
-            measure_seconds=measure_seconds,
-            horizon_mode=view.mode,
-            jobs=config.stream_jobs,
-            config=config,
-        )
-        out.append((index, _record_from_outcome(cell, graph, outcome)))
-    return out
+        for position in group:
+            index, cell = indexed[position]
+            _, schedule, _, build_seconds = built[position]
+            outcome = RunOutcome(
+                scheduler_name=scheduler.name,
+                graph_name=graph.name,
+                horizon=horizon,
+                schedule=schedule,
+                report=report,
+                validation=validation,
+                build_seconds=build_seconds,
+                bound_satisfied=bound_satisfied,
+                backend=config.backend,
+                measure_seconds=measure_seconds,
+                horizon_mode=view.mode,
+                jobs=config.stream_jobs,
+                config=config,
+            )
+            out[position] = (index, _record_from_outcome(cell, graph, outcome))
+    return [out[position] for position in range(len(indexed))]
 
 
 def _record_line(record: ExperimentRecord) -> str:
@@ -1025,18 +1091,21 @@ class ExperimentEngine:
                         self.store.put(record, campaign=campaign, config_json=config_json)
                     emitted += 1
 
-            units = _plan_units(pending, graphs)
+            horizons: Dict[Tuple, int] = {}
+            units = _plan_units(pending, graphs, horizons)
+            payloads = [_unit_payload(unit, graphs, horizons) for unit in units]
             if self.jobs == 1 or len(units) <= 1:
-                for unit in units:
+                for payload in payloads:
+                    unit = payload[0]
                     if len(unit) == 1:
                         index, cell = unit[0]
                         records[index] = self._run_one(cell, graphs, index, len(cells))
                     else:
-                        for index, record in self._run_batch(unit, graphs, len(cells)):
+                        for index, record in self._run_batch(payload, len(cells)):
                             records[index] = record
                     emit_ready()
             else:
-                self._run_pool(units, graphs, records, len(cells), emit_ready)
+                self._run_pool(payloads, records, len(cells), emit_ready)
             emit_ready()
         finally:
             if sink_fh is not None:
@@ -1083,12 +1152,12 @@ class ExperimentEngine:
 
     def _run_batch(
         self,
-        unit: Sequence[Tuple[int, ExperimentCell]],
-        graphs: Mapping[Tuple[str, str], ConflictGraph],
+        payload: Tuple[List[Tuple[int, ExperimentCell]], ConflictGraph, Optional[int]],
         total: int,
     ) -> List[Tuple[int, ExperimentRecord]]:
+        unit = payload[0]
         start = time.perf_counter()
-        results = _execute_batch((list(unit), graphs[_graph_cache_key(unit[0][1])]))
+        results = _execute_batch(payload)
         wall = time.perf_counter() - start
         for index, record in results:
             _log.info(
@@ -1104,25 +1173,19 @@ class ExperimentEngine:
 
     def _run_pool(
         self,
-        units: Sequence[Sequence[Tuple[int, ExperimentCell]]],
-        graphs: Mapping[Tuple[str, str], ConflictGraph],
+        payloads: Sequence[Tuple[List[Tuple[int, ExperimentCell]], ConflictGraph, Optional[int]]],
         records: Dict[int, ExperimentRecord],
         total: int,
         emit_ready: Callable[[], None],
     ) -> None:
-        max_workers = min(self.jobs, len(units))
+        max_workers = min(self.jobs, len(payloads))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             # The graph is pickled once per unit, not once per worker: workers
             # must not resolve names themselves (runtime registrations don't
             # exist in spawned children), and per-worker caching isn't worth
             # the machinery at the graph sizes this package runs.  Parallelism
             # moves *across* units — one future per (possibly batched) unit.
-            futures = {
-                pool.submit(
-                    _execute_batch, (list(unit), graphs[_graph_cache_key(unit[0][1])])
-                )
-                for unit in units
-            }
+            futures = {pool.submit(_execute_batch, payload) for payload in payloads}
             while futures:
                 done, futures = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:

@@ -55,6 +55,9 @@ class RunOutcome:
     backend: str = "auto"
     #: wall time of the whole measurement stage: trace construction plus the
     #: metric suite plus all validation checks (they share the one trace).
+    #: A batched engine unit reports an amortised share instead: its
+    #: stacked scan split evenly over the unit's cells, and each distinct
+    #: schedule's evaluate + validate split evenly over the cells sharing it.
     measure_seconds: float = 0.0
     #: horizon representation actually used: "dense", "stream" or "sets"
     #: (the frozenset reference has no streaming mode).

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.problem import ConflictGraph, Node
 
@@ -74,6 +74,19 @@ class Schedule(ABC):
 
     def node_period(self, node: Node) -> Optional[int]:
         """The advertised period of ``node`` (None for aperiodic schedules)."""
+        return None
+
+    def content_key(self) -> Optional[Hashable]:
+        """A key for what this schedule will do, or None when unknown.
+
+        Contract: two schedules over the same graph whose keys are equal
+        (and not None) have the same happy set at every holiday, so any
+        answer computed from one — a trace, a report, a validation — is the
+        other's answer too.  Unequal keys promise nothing: two schedules may
+        agree without their keys doing so.  The experiment engine uses this
+        to evaluate each distinct schedule of a batch once.  The base
+        class knows nothing about its subclasses' content and returns None.
+        """
         return None
 
     def describe(self) -> str:
@@ -203,6 +216,12 @@ class PeriodicSchedule(Schedule):
 
     def is_periodic(self) -> bool:
         return True
+
+    def content_key(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(period, phase)`` table in graph-node order: it fixes the
+        happy set of every holiday."""
+        slots = map(self.assignments.__getitem__, self.graph.nodes())
+        return tuple((slot.period, slot.phase) for slot in slots)
 
     def node_period(self, node: Node) -> int:
         return self.assignments[node].period
@@ -381,6 +400,22 @@ class GeneratorSchedule(Schedule):
         """The generation frontier: the highest holiday generated so far
         (``start`` for a fresh schedule)."""
         return self._evicted + len(self._cache)
+
+    def content_key(self) -> Optional[Tuple[Callable, bytes]]:
+        """``(restore, checkpoint(0))`` for a checkpointable schedule that
+        has not generated anything yet, else None.
+
+        By the checkpoint/restore contract ``restore(graph, state)`` rebuilds
+        a step producing every holiday from 1 on byte-identically, so the
+        pair fixes the whole schedule: Phased Greedy's state at holiday 0 is
+        its initial colouring, first-come-first-grab's is its rng position.
+        Once a holiday has been generated the state at 0 is gone (generator
+        state cannot be rewound), and a resumed schedule never had one (its
+        frontier starts at ``start > 0``), so both report None.
+        """
+        if not self.checkpointable or self.frontier() != 0:
+            return None
+        return self._restore, self.checkpoint(0)
 
     def checkpoint(self, t: int) -> bytes:
         """Serialize the generator's state after holiday ``t``.

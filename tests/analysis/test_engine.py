@@ -608,6 +608,90 @@ class TestBatching:
         assert engine.stats["skipped"] == 2 and engine.stats["executed"] == 2
         assert len(read_records_jsonl(sink)) == 4
 
+    @staticmethod
+    def sweep_spec(algorithms=None, **config):
+        """Every registered scheduler × small/* × three seeds, horizons from
+        the default policy: the deterministic schedulers repeat one schedule
+        per seed, so batched units hold groups to deduplicate."""
+        from repro.algorithms.registry import available_schedulers
+
+        return ExperimentSpec(
+            name="dedup",
+            workloads=("small/*",),
+            algorithms=tuple(algorithms or available_schedulers()),
+            seeds=(0, 1, 2),
+            config=EngineConfig(**config),
+        )
+
+    def test_deduplicated_sinks_match_per_cell_and_pool(self, tmp_path):
+        """Sharing one evaluation per distinct schedule changes no record:
+        auto-batched, per-cell and pooled sinks are byte-identical modulo
+        timing."""
+        sinks = {}
+        for label, batch, jobs in (("auto", None, 1), ("percell", 1, 1), ("pooled", None, 2)):
+            sink = tmp_path / f"{label}.jsonl"
+            ExperimentEngine(jobs=jobs, sink=sink).run(self.sweep_spec(batch=batch))
+            sinks[label] = stripped_lines(sink)
+        assert len(sinks["percell"]) == 9 * len(self.sweep_spec().algorithms) * 3
+        assert sinks["auto"] == sinks["percell"]
+        assert sinks["pooled"] == sinks["percell"]
+
+    def test_one_evaluate_and_validate_per_distinct_schedule(self, monkeypatch):
+        import repro.core.metrics as metrics
+        import repro.core.validation as validation
+        from repro.algorithms.registry import get_scheduler
+        from repro.graphs.suites import get_workload
+
+        spec = self.sweep_spec()
+        expected = set()
+        for i, cell in enumerate(spec.cells()):
+            graph = get_workload(cell.workload)
+            scheduler = get_scheduler(cell.algorithm)
+            key = scheduler.build(graph, seed=cell.cell_seed()).content_key()
+            if key is None:
+                expected.add(("alone", i))
+                continue
+            bound_fn = scheduler.bound_function(graph)
+            bounds = None if bound_fn is None else tuple(map(bound_fn, graph.nodes()))
+            expected.add((cell.workload, cell.algorithm, key, bounds))
+        assert len(expected) < len(spec.cells())
+
+        calls = {"evaluate": 0, "validate": 0}
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(metrics, "evaluate_schedule", spy("evaluate", metrics.evaluate_schedule))
+        monkeypatch.setattr(
+            validation, "validate_schedule", spy("validate", validation.validate_schedule)
+        )
+        engine = ExperimentEngine(jobs=1)
+        records = engine.run(spec)
+        assert engine.stats["executed"] == len(records) == len(spec.cells())
+        assert calls == {"evaluate": len(expected), "validate": len(expected)}
+
+    def test_phased_greedy_generates_once_per_graph(self, monkeypatch):
+        """Phased Greedy is fixed by its (seed-independent) greedy initial
+        colouring, so a seed sweep runs its step ``horizon`` times per
+        graph, not ``seeds × horizon``."""
+        from repro.algorithms.phased_greedy import PhasedGreedyState
+
+        steps = []
+        real_step = PhasedGreedyState.step
+
+        def counting_step(state):
+            steps.append(state.graph.name)
+            return real_step(state)
+
+        monkeypatch.setattr(PhasedGreedyState, "step", counting_step)
+        records = ExperimentEngine(jobs=1).run(self.sweep_spec(algorithms=("phased-greedy",)))
+        horizons = {r.workload: r.params["horizon"] for r in records}
+        assert len(records) == 3 * len(horizons) == 27
+        assert len(steps) == sum(horizons.values())
+
 
 def cached_stripped_lines(path):
     """Sink lines with timing metrics *and* the cached stamp removed."""
