@@ -61,8 +61,24 @@ class Scheduler(ABC):
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
         """Construct a schedule for ``graph``.
 
-        Implementations must be deterministic given ``(graph, seed)``.
+        Implementations must be deterministic given ``(graph, seed)``.  A
+        scheduler whose :attr:`seeded` is False promises more: ``seed``
+        never reaches the construction, so every seed yields a schedule
+        with the same :meth:`~repro.core.schedule.Schedule.content_key` and
+        the experiment engine builds it once per batched unit, sharing the
+        result across that unit's seeds.
         """
+
+    @property
+    def seeded(self) -> bool:
+        """Whether :meth:`build` reads its ``seed``.
+
+        True by default, so a scheduler that does not declare otherwise is
+        built once per seed.  Deterministic constructions (the colour and
+        degree periodic schedules, the strawmen, Phased Greedy from a
+        greedy colouring) return False.
+        """
+        return True
 
     def bound_function(self, graph: ConflictGraph) -> Optional[Callable[[Node], float]]:
         """The per-node bound this scheduler guarantees, or None if global-only.

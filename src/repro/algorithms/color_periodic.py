@@ -116,3 +116,8 @@ class ColorPeriodicScheduler(Scheduler):
             self.last_coloring = coloring
         code = self.code
         return lambda p: float(color_period(coloring.color_of(p), code))
+
+    @property
+    def seeded(self) -> bool:
+        """False: the colouring function takes no seed."""
+        return False

@@ -60,6 +60,11 @@ class DegreePeriodicScheduler(Scheduler):
         return lambda p: float(modulus_for_degree(graph.degree(p)))
 
     @property
+    def seeded(self) -> bool:
+        """Only the distributed construction draws randomness."""
+        return self.mode == "distributed"
+
+    @property
     def construction_rounds(self) -> Optional[int]:
         """LOCAL-model rounds spent by the last distributed construction (None otherwise)."""
         if self.last_assignment is None:

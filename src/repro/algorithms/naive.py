@@ -19,7 +19,9 @@ Three strawmen that frame the results:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
+
+import numpy as np
 
 from repro.algorithms.base import Scheduler, SchedulerInfo
 from repro.coloring.base import Coloring
@@ -61,6 +63,10 @@ class SequentialScheduler(Scheduler):
         n = graph.num_nodes()
         return lambda p: float(max(n, 1))
 
+    @property
+    def seeded(self) -> bool:
+        return False
+
 
 class RoundRobinColorScheduler(Scheduler):
     """Cycle through the color classes of a legal coloring.
@@ -99,32 +105,87 @@ class RoundRobinColorScheduler(Scheduler):
         num_colors = max(coloring.max_color(), 1)
         return lambda p: float(num_colors)
 
+    @property
+    def seeded(self) -> bool:
+        return False
+
+
+#: holidays of wake-up times :func:`_fcfg_step` draws in one rng call
+FCFG_BLOCK = 64
+#: at most this many wake-up times (8 MiB of doubles) per block, so a graph
+#: with more than ``FCFG_BLOCK_DRAWS / FCFG_BLOCK`` nodes draws shorter blocks
+FCFG_BLOCK_DRAWS = 1 << 20
+
 
 def _fcfg_step(graph: ConflictGraph, rng: RngStream) -> Callable[[int], FrozenSet[Node]]:
     """The per-holiday body of first-come-first-grab over a given rng.
 
     Shared by :meth:`FirstComeFirstGrabScheduler.build` and the checkpoint
     ``restore`` path so both sides draw the exact same wake-up sequence.
-    One vector draw of ``n`` wake-up times per holiday, in node order, is
-    the same stream (and leaves the same rng position) as ``n`` scalar
-    draws; the local-minimum test then runs over the graph's index
-    adjacency.
+    Wake-up times are drawn for a block of up to :data:`FCFG_BLOCK`
+    holidays at once: one ``(rows, n)`` draw is the same stream as ``rows``
+    draws of ``n`` in node order, so a block changes no holiday.  The
+    strict local minima of a whole block are found in one pass: nodes are
+    ranked by falling degree, so the nodes with a ``j``-th neighbour are a
+    prefix of that ranking and neighbour slot ``j`` is one gather of wake-up
+    rows (a jagged-diagonal layout, ``O(rows · (n + m))`` work and memory).
+    Each call then serves one holiday's happy set in node order.
+
+    The returned step carries its own ``checkpoint`` serializer: the rng
+    runs ahead of the served holidays inside a block, so the position at
+    the frontier is the block's start advanced by one draw per node per
+    served holiday — the bytes a per-holiday draw would have left.
     """
     nodes = graph.nodes()
+    n = len(nodes)
     adjacency = graph.index_adjacency()
+    rows = max(1, min(FCFG_BLOCK, FCFG_BLOCK_DRAWS // max(n, 1)))
+    ranking = sorted(range(n), key=lambda i: len(adjacency[i]), reverse=True)
+    ranked = [adjacency[i] for i in ranking]
+    slots = []  # slots[j]: the j-th neighbour of each node with one, in ranking order
+    width = n
+    for j in range(len(ranked[0]) if ranked else 0):
+        while len(ranked[width - 1]) <= j:
+            width -= 1
+        slots.append(np.array([row[j] for row in ranked[:width]], dtype=np.intp))
+    ranking = np.array(ranking, dtype=np.intp)
+    block: List[List[int]] = []  # happy node indices of each holiday in the block
+    served = 0
+    block_start = b""
+
+    def draw() -> None:
+        nonlocal block, served, block_start
+        block_start = rng.getstate()
+        wake = np.ascontiguousarray(rng.random((rows, n)).T)
+        least = np.full((n, rows), np.inf)  # least neighbour wake-up, in ranking order
+        for slot in slots:
+            head = least[: len(slot)]
+            np.minimum(head, wake[slot], out=head)
+        happy = np.empty((n, rows), dtype=bool)
+        happy[ranking] = wake[ranking] < least
+        holiday, node = np.nonzero(happy.T)
+        cuts = np.searchsorted(holiday, np.arange(rows + 1)).tolist()
+        node = node.tolist()
+        block = [node[a:b] for a, b in zip(cuts, cuts[1:])]
+        served = 0
 
     def step(holiday: int) -> FrozenSet[Node]:
-        wake = rng.random(len(nodes)).tolist()
-        happy = []  # the strict local minima of the wake-up times
-        for i, row in enumerate(adjacency):
-            mine = wake[i]
-            for j in row:
-                if wake[j] <= mine:
-                    break
-            else:
-                happy.append(nodes[i])
-        return frozenset(happy)
+        nonlocal served
+        if served == len(block):
+            draw()
+        members = block[served]
+        served += 1
+        return frozenset([nodes[i] for i in members])
 
+    def checkpoint() -> bytes:
+        if served == len(block):  # at a block boundary the live position is exact
+            return rng.getstate()
+        position = RngStream(0, ("fcfg", graph.name))
+        position.setstate(block_start)
+        position.advance(served * n)
+        return position.getstate()
+
+    step.checkpoint = checkpoint
     return step
 
 
@@ -132,13 +193,11 @@ def _fcfg_restore(graph: ConflictGraph, state: bytes) -> Callable[[int], FrozenS
     """Module-level ``restore`` half of the checkpoint protocol: the whole
     algorithm state is the rng position (the step body never reads the
     holiday index), so resuming is just rewinding a fresh stream to the
-    serialized position."""
+    serialized position.  The step's own ``checkpoint`` makes resumed
+    schedules checkpointable in turn (checkpoints chain)."""
     rng = RngStream(0, ("fcfg", graph.name))
     rng.setstate(state)
-    step = _fcfg_step(graph, rng)
-    # resumed schedules are checkpointable in turn (checkpoints chain)
-    step.checkpoint = rng.getstate
-    return step
+    return _fcfg_step(graph, rng)
 
 
 class FirstComeFirstGrabScheduler(Scheduler):
@@ -159,13 +218,13 @@ class FirstComeFirstGrabScheduler(Scheduler):
     )
 
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
-        rng = RngStream(seed, ("fcfg", graph.name))
+        step = _fcfg_step(graph, RngStream(seed, ("fcfg", graph.name)))
         return GeneratorSchedule(
             graph,
-            _fcfg_step(graph, rng),
+            step,
             validate=False,
             name=self.info.name,
-            checkpoint=rng.getstate,
+            checkpoint=step.checkpoint,
             restore=_fcfg_restore,
         )
 

@@ -235,3 +235,10 @@ class PhasedGreedyScheduler(Scheduler):
     def bound_function(self, graph: ConflictGraph) -> Callable[[Node], float]:
         """Theorem 3.1 bound ``deg(p) + 1``."""
         return lambda p: float(graph.degree(p) + 1)
+
+    @property
+    def seeded(self) -> bool:
+        """False only for the sequential greedy initial colouring; the
+        distributed colouring is seeded, and a supplied callable is not
+        known to be seed-free."""
+        return self._initial_coloring != "greedy"

@@ -69,6 +69,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TYPE_CHECKING,
     Union,
 )
 
@@ -79,6 +80,10 @@ from repro.core.trace import AUTO_STREAM_BYTES, DEFAULT_CHUNK, TraceBatch, dense
 from repro.graphs.suites import expand_workload_names, get_workload
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:
+    from repro.algorithms.base import Scheduler
+    from repro.core.schedule import Schedule
 
 __all__ = [
     "HorizonPolicy",
@@ -95,9 +100,11 @@ _log = get_logger("analysis.engine")
 
 #: metric keys that measure wall-clock time and therefore legitimately
 #: differ between two otherwise identical runs of the same spec.  In a
-#: batched unit ``measure_seconds`` is an amortised share, not the cell's
-#: own wait: the stacked scan is split evenly over the unit's cells, and
-#: one evaluate + validate evenly over the cells sharing a schedule.
+#: batched unit both are amortised shares, not the cell's own wait: one
+#: build of a scheduler that is not ``seeded`` is split evenly over the
+#: unit's cells of that algorithm, the stacked scan evenly over the unit's
+#: cells, and one evaluate + validate evenly over the cells sharing a
+#: schedule.
 TIMING_METRICS = ("build_seconds", "measure_seconds")
 
 #: record params the engine stamps on every cell; grid keys must not shadow
@@ -257,6 +264,8 @@ class ExperimentSpec:
             raise ValueError("spec needs at least one algorithm")
         if not self.seeds:
             raise ValueError("spec needs at least one seed")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     def resolved_workloads(self, extra: Sequence[str] = ()) -> List[str]:
         """Workload names with glob patterns expanded."""
@@ -553,22 +562,24 @@ def execute_cell(
     if graph is None:
         graph = get_workload(cell.workload, **_graph_params(cell))
     scheduler = get_scheduler(cell.algorithm)
+    cell_seed = cell.cell_seed()
     outcome = run_scheduler(
         scheduler,
         graph,
         horizon=cell.horizon,
-        seed=cell.cell_seed(),
+        seed=cell_seed,
         certify_bound=cell.certify_bound,
         policy=cell.policy,
         config=cell.config,
     )
-    return _record_from_outcome(cell, graph, outcome)
+    return _record_from_outcome(cell, graph, outcome, cell_seed, cell.cell_id())
 
 
 def _record_from_outcome(
-    cell: ExperimentCell, graph: ConflictGraph, outcome
+    cell: ExperimentCell, graph: ConflictGraph, outcome, cell_seed: int, cell_id: str
 ) -> ExperimentRecord:
-    """Assemble one cell's record from its run outcome.
+    """Assemble one cell's record from its run outcome, its
+    :meth:`~ExperimentCell.cell_seed` and its :meth:`~ExperimentCell.cell_id`.
 
     The single assembly point shared by per-cell and batched execution, so
     record layout (params, key order, stamped values) is identical by
@@ -581,8 +592,8 @@ def _record_from_outcome(
             "n": graph.num_nodes(),
             "backend": cell.config.backend,
             "seed": cell.seed,
-            "cell_seed": cell.cell_seed(),
-            "cell_id": cell.cell_id(),
+            "cell_seed": cell_seed,
+            "cell_id": cell_id,
             "horizon_mode": outcome.horizon_mode,
         }
     )
@@ -709,6 +720,19 @@ def _unit_payload(
     return unit, graph, horizon
 
 
+@dataclass
+class _Build:
+    """One scheduler build inside a batched unit: the unit's members that
+    use it and the evaluation group they join."""
+
+    scheduler: Scheduler
+    schedule: Schedule
+    bound_fn: Optional[Callable]
+    group: List[int]
+    seconds: float
+    uses: int = 0
+
+
 def _execute_batch(
     payload: Tuple[Sequence[Tuple[int, ExperimentCell]], Optional[ConflictGraph], Optional[int]]
 ) -> List[Tuple[int, ExperimentRecord]]:
@@ -716,13 +740,22 @@ def _execute_batch(
 
     The payload is ``(unit, graph, horizon)``; the planner resolved the
     horizon of every multi-cell unit.  Single-cell units take the ordinary
-    :func:`execute_cell` path.  Larger units build every member schedule,
-    so each cell keeps its own build time, seed and id, and then evaluate
-    each *distinct* schedule once.  Members sharing an algorithm, a
+    :func:`execute_cell` path.  Larger units pay for each distinct schedule
+    once, while every cell keeps its own seed, id and record.
+
+    Building: a scheduler that is not
+    :attr:`~repro.algorithms.base.Scheduler.seeded` is built once per
+    algorithm in the unit, and the unit's other cells of that algorithm
+    reuse the build (its scheduler, schedule, bound function and group);
+    a seeded scheduler is built once per cell.  ``build_seconds`` is
+    amortised like ``measure_seconds``: a shared build's time is split
+    evenly over the cells that use it.
+
+    Evaluating: builds sharing an algorithm, a
     :meth:`~repro.core.schedule.Schedule.content_key` and the per-node
     bounds form one group: equal keys mean equal happy sets at every
     holiday, and the algorithm and bounds are the rest of what a record is
-    computed from.  A member whose key is None stays alone.  One
+    computed from.  A build whose key is None stays alone.  One
     :class:`~repro.core.trace.TraceBatch` stacks one representative per
     group and runs the stacked scan once; the unmodified metric and
     validation entry points then run once per group over the
@@ -743,35 +776,44 @@ def _execute_batch(
     from repro.core.metrics import evaluate_schedule
     from repro.core.validation import validate_schedule
 
-    first_cell = indexed[0][1]
-    config = first_cell.config
+    cells = [cell for _, cell in indexed]
+    config = cells[0].config
     if graph is None:
-        graph = get_workload(first_cell.workload, **_graph_params(first_cell))
-    built = []
+        graph = get_workload(cells[0].workload, **_graph_params(cells[0]))
+    seeds = [cell.cell_seed() for cell in cells]
+    ids = cell_ids_of(cells)
+    member_build: List[_Build] = []  # by member position
+    unseeded: Dict[str, _Build] = {}  # algorithm -> its one build in this unit
     groups: List[List[int]] = []  # member positions, representative first
     keyed: Dict[Hashable, List[int]] = {}
-    for position, (_, cell) in enumerate(indexed):
-        scheduler = get_scheduler(cell.algorithm)
-        if config.window is not None:
-            scheduler = scheduler.with_window(config.window)
-        start = time.perf_counter()
-        schedule = scheduler.build(graph, seed=cell.cell_seed())
-        build_seconds = time.perf_counter() - start
-        bound_fn = scheduler.bound_function(graph) if cell.certify_bound else None
-        built.append((scheduler, schedule, bound_fn, build_seconds))
-        content = schedule.content_key()
-        if content is None:
-            group: List[int] = []
-        else:
-            bounds = None if bound_fn is None else tuple(map(bound_fn, graph.nodes()))
-            group = keyed.setdefault((cell.algorithm, content, bounds), [])
-        if not group:  # a new group, with this member as its representative
-            groups.append(group)
-        group.append(position)
+    for position, cell in enumerate(cells):
+        build = unseeded.get(cell.algorithm)
+        if build is None:
+            scheduler = get_scheduler(cell.algorithm)
+            if config.window is not None:
+                scheduler = scheduler.with_window(config.window)
+            start = time.perf_counter()
+            schedule = scheduler.build(graph, seed=seeds[position])
+            seconds = time.perf_counter() - start
+            bound_fn = scheduler.bound_function(graph) if cell.certify_bound else None
+            content = schedule.content_key()
+            if content is None:
+                group: List[int] = []
+            else:
+                bounds = None if bound_fn is None else tuple(map(bound_fn, graph.nodes()))
+                group = keyed.setdefault((cell.algorithm, content, bounds), [])
+            if not group:  # a new group, with this member as its representative
+                groups.append(group)
+            build = _Build(scheduler, schedule, bound_fn, group, seconds)
+            if not scheduler.seeded:
+                unseeded[cell.algorithm] = build
+        build.group.append(position)
+        build.uses += 1
+        member_build.append(build)
     engine_choice = config.resolve(graph.num_nodes(), horizon)
     start = time.perf_counter()
     batch = TraceBatch(
-        [built[group[0]][1] for group in groups],
+        [member_build[group[0]].schedule for group in groups],
         graph,
         horizon,
         horizon_mode=engine_choice.mode,
@@ -781,7 +823,8 @@ def _execute_batch(
     shared_seconds = (time.perf_counter() - start) / len(indexed)
     out: Dict[int, Tuple[int, ExperimentRecord]] = {}  # by member position
     for member, group in enumerate(groups):
-        scheduler, schedule, bound_fn, _ = built[group[0]]
+        rep = member_build[group[0]]
+        scheduler, schedule, bound_fn = rep.scheduler, rep.schedule, rep.bound_fn
         view = batch.member(member)
         start = time.perf_counter()
         report = evaluate_schedule(
@@ -805,16 +848,15 @@ def _execute_batch(
                 v.kind == "bound-exceeded" for v in validation.violations
             )
         for position in group:
-            index, cell = indexed[position]
-            _, schedule, _, build_seconds = built[position]
+            build = member_build[position]
             outcome = RunOutcome(
                 scheduler_name=scheduler.name,
                 graph_name=graph.name,
                 horizon=horizon,
-                schedule=schedule,
+                schedule=build.schedule,
                 report=report,
                 validation=validation,
-                build_seconds=build_seconds,
+                build_seconds=build.seconds / build.uses,
                 bound_satisfied=bound_satisfied,
                 backend=config.backend,
                 measure_seconds=measure_seconds,
@@ -822,7 +864,10 @@ def _execute_batch(
                 jobs=config.stream_jobs,
                 config=config,
             )
-            out[position] = (index, _record_from_outcome(cell, graph, outcome))
+            record = _record_from_outcome(
+                cells[position], graph, outcome, seeds[position], ids[position]
+            )
+            out[position] = (indexed[position][0], record)
     return [out[position] for position in range(len(indexed))]
 
 

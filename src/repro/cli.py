@@ -110,6 +110,18 @@ def _write_graph(graph: ConflictGraph, path: str) -> None:
         save_edge_list(graph, path)
 
 
+def _horizon_arg(text: str) -> int:
+    """The argparse type of ``--horizon``: a number of holidays, at least 1
+    (anything smaller is a usage error, not a traceback from the engine)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_engine_args(
     parser: argparse.ArgumentParser, stream_jobs_aliases: Sequence[str] = ()
 ) -> None:
@@ -667,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     sch = sub.add_parser("schedule", help="schedule holidays for a conflict graph")
     sch.add_argument("graph", help="graph file (.json or edge list)")
     sch.add_argument("--algorithm", default="degree-periodic", choices=available_schedulers())
-    sch.add_argument("--horizon", type=int, default=None, help="evaluation horizon (default: auto)")
+    sch.add_argument("--horizon", type=_horizon_arg, default=None, help="evaluation horizon (default: auto)")
     add_engine_args(sch, stream_jobs_aliases=("--jobs",))
     sch.add_argument("--calendar-years", type=int, default=12, help="years printed to the terminal")
     sch.add_argument("--calendar-csv", help="write the full calendar to this CSV file")
@@ -678,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="compare algorithms on one conflict graph")
     cmp_.add_argument("graph", help="graph file (.json or edge list)")
     cmp_.add_argument("--algorithms", nargs="*", help="algorithm names (default: a representative set)")
-    cmp_.add_argument("--horizon", type=int, default=None)
+    cmp_.add_argument("--horizon", type=_horizon_arg, default=None)
     add_engine_args(cmp_, stream_jobs_aliases=("--jobs",))
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.set_defaults(func=cmd_compare)
@@ -689,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sat = sub.add_parser("satisfaction", help="Appendix A satisfaction analysis of a society JSON")
     sat.add_argument("society", help="society JSON file (see 'generate society --society-out')")
-    sat.add_argument("--horizon", type=int, default=10)
+    sat.add_argument("--horizon", type=_horizon_arg, default=10)
     sat.set_defaults(func=cmd_satisfaction)
 
     exp = sub.add_parser(
@@ -715,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=V1,V2",
         help="parameter grid, e.g. --grid scale=1,2 — forwarded to workload factories",
     )
-    exp.add_argument("--horizon", type=int, default=None, help="fixed evaluation horizon (default: policy)")
+    exp.add_argument("--horizon", type=_horizon_arg, default=None, help="fixed evaluation horizon (default: policy)")
     add_engine_args(exp)  # flags default to None = "not given", overridable by --spec
     exp.add_argument(
         "--jobs", type=int, default=1,

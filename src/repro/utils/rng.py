@@ -107,6 +107,11 @@ class RngStream:
             raise ValueError(f"unrecognized rng state kind {kind!r}")
         self.generator.bit_generator.state = payload
 
+    def advance(self, draws: int) -> None:
+        """Move the stream ``draws`` 64-bit outputs ahead without drawing
+        them: the position one :meth:`random` float per output would leave."""
+        self.generator.bit_generator.advance(draws)
+
 
 def spawn_streams(root_seed: int, labels: Iterable[Hashable]) -> List[RngStream]:
     """Spawn one independent :class:`RngStream` per label.

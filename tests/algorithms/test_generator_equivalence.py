@@ -1,11 +1,13 @@
 """The index-based generator kernels against their dict-based definitions.
 
-Phased Greedy (§3) and first-come-first-grab step over integer node
-indices, colour buckets and one vector draw per holiday.  The contract is
-that none of this is observable: the happy-set stream and every checkpoint
-are byte-identical to the straightforward node-keyed step bodies kept here
-as a test-local oracle.  Covered for every ``small/*`` workload, six
-seeds and both initial colourings.
+Phased Greedy (§3) steps over integer node indices and colour buckets;
+first-come-first-grab draws the wake-up times of a block of holidays at
+once.  The contract is that none of this is observable: the happy-set
+stream and every checkpoint are byte-identical to the straightforward
+node-keyed step bodies kept here as a test-local oracle.  Covered for
+every ``small/*`` workload, six seeds and both initial colourings, and for
+first-come-first-grab across several blocks, with checkpoints and restores
+on both sides of each block edge.
 
 The last block pins the adjacency cache the kernels read to the graph's
 mutation methods — the dynamic setting of §6 adds and removes edges and
@@ -18,7 +20,8 @@ import pickle
 
 import pytest
 
-from repro.algorithms.naive import FirstComeFirstGrabScheduler
+import repro.algorithms.naive as naive
+from repro.algorithms.naive import FCFG_BLOCK, FirstComeFirstGrabScheduler
 from repro.algorithms.phased_greedy import PhasedGreedyScheduler
 from repro.coloring.distributed import distributed_deg_plus_one_coloring
 from repro.coloring.greedy import greedy_coloring
@@ -30,6 +33,12 @@ WORKLOADS = expand_workload_names(["small/*"])
 SEEDS = (0, 1, 2, 3, 7, 11)
 HORIZON = 48
 CHECKPOINTS = (1, 13, HORIZON)
+#: first-come-first-grab runs past three block edges ...
+LONG_HORIZON = 3 * FCFG_BLOCK + 5
+#: ... and is cut mid-block and on both sides of an edge
+BLOCK_CUTS = (
+    FCFG_BLOCK // 2, FCFG_BLOCK - 1, FCFG_BLOCK, FCFG_BLOCK + 1, 2 * FCFG_BLOCK + FCFG_BLOCK // 2
+)
 
 
 class _DictPhasedGreedy:
@@ -80,13 +89,13 @@ class _DictFirstComeFirstGrab:
         return self.rng.getstate()
 
 
-def _assert_same_stream(schedule, oracle, start=0):
-    for t in range(start + 1, HORIZON + 1):
+def _assert_same_stream(schedule, oracle, start=0, horizon=HORIZON, checkpoints=CHECKPOINTS):
+    for t in range(start + 1, horizon + 1):
         expected = oracle.step()
         got = schedule.happy_set(t)
         assert got == expected, f"holiday {t}"
         assert list(got) == list(expected), f"holiday {t}: iteration order"
-        if t in CHECKPOINTS:
+        if t in checkpoints:
             assert schedule.checkpoint(t) == oracle.to_bytes(), f"checkpoint at {t}"
 
 
@@ -112,6 +121,69 @@ def test_first_come_first_grab_matches_dict_oracle(workload, seed):
     graph = get_workload(workload)
     schedule = FirstComeFirstGrabScheduler().build(graph, seed=seed)
     _assert_same_stream(schedule, _DictFirstComeFirstGrab(graph, seed))
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_first_come_first_grab_blocks_match_dict_oracle(workload, seed):
+    """Several blocks of drawn wake-up times serve the oracle's stream, and
+    a checkpoint taken anywhere in a block is the per-holiday position."""
+    graph = get_workload(workload)
+    schedule = FirstComeFirstGrabScheduler().build(graph, seed=seed)
+    _assert_same_stream(
+        schedule,
+        _DictFirstComeFirstGrab(graph, seed),
+        horizon=LONG_HORIZON,
+        checkpoints=BLOCK_CUTS + (LONG_HORIZON,),
+    )
+
+
+@pytest.mark.parametrize("cut", BLOCK_CUTS)
+def test_first_come_first_grab_resumes_at_block_edges(cut):
+    """A restore mid-block starts a fresh block at the checkpointed
+    position; the resumed schedule follows the oracle and checkpoints
+    correctly around its own block edges (checkpoints chain)."""
+    graph = get_workload("small/gnp")
+    schedule = FirstComeFirstGrabScheduler().build(graph, seed=1)
+    oracle = _DictFirstComeFirstGrab(graph, 1)
+    for t in range(1, cut + 1):
+        assert schedule.happy_set(t) == oracle.step()
+    state = schedule.checkpoint(cut)
+    assert state == oracle.to_bytes()
+    resumed = schedule.restore(state, start=cut)
+    own_edges = tuple(cut + d for d in (1, FCFG_BLOCK - 1, FCFG_BLOCK, FCFG_BLOCK + 1))
+    _assert_same_stream(
+        resumed, oracle, start=cut, horizon=LONG_HORIZON, checkpoints=own_edges + (LONG_HORIZON,)
+    )
+
+
+def test_first_come_first_grab_short_blocks_are_the_same_stream(monkeypatch):
+    """Graphs too large for a full block draw fewer holidays per block;
+    the stream and checkpoints do not depend on the block length."""
+    graph = get_workload("small/gnp")
+    monkeypatch.setattr(naive, "FCFG_BLOCK_DRAWS", 3 * graph.num_nodes())
+    schedule = FirstComeFirstGrabScheduler().build(graph, seed=2)
+    _assert_same_stream(
+        schedule, _DictFirstComeFirstGrab(graph, 2), checkpoints=(1, 2, 3, 4, 5, 13, HORIZON)
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        ConflictGraph(name="empty"),
+        ConflictGraph(edges=[(0, 1), (1, 2)], nodes=[3, 4], name="isolated"),
+    ],
+    ids=["empty", "isolated"],
+)
+def test_first_come_first_grab_without_neighbours(graph):
+    """A node with no neighbour is a local minimum every holiday, and an
+    empty graph draws nothing."""
+    schedule = FirstComeFirstGrabScheduler().build(graph, seed=5)
+    _assert_same_stream(
+        schedule, _DictFirstComeFirstGrab(graph, 5), horizon=FCFG_BLOCK + 2,
+        checkpoints=(1, FCFG_BLOCK, FCFG_BLOCK + 2),
+    )
 
 
 @pytest.mark.parametrize("algorithm", ["phased-greedy", "first-come-first-grab"])

@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms.base import Scheduler, SchedulerInfo
 from repro.algorithms.registry import available_schedulers, get_scheduler, register_scheduler
 from repro.core.schedule import PeriodicSchedule, SlotAssignment
+from repro.graphs.suites import expand_workload_names, get_workload
 
 
 EXPECTED_BUILTINS = {
@@ -66,3 +67,52 @@ class TestRegistry:
             schedule = scheduler.build(square_with_diagonal, seed=1)
             happy = schedule.happy_set(1)
             assert square_with_diagonal.is_independent_set(happy)
+
+
+#: builtins whose build never reads its seed (see Scheduler.seeded)
+UNSEEDED_BUILTINS = {
+    "sequential",
+    "round-robin-color",
+    "phased-greedy",
+    "color-periodic-omega",
+    "color-periodic-omega-dsatur",
+    "color-periodic-gamma",
+    "color-periodic-delta",
+    "degree-periodic",
+}
+
+
+class TestSeeded:
+    """The ``seeded`` declaration lets the experiment engine share one
+    build across seeds, so an unseeded scheduler must really ignore the
+    seed: its builds at different seeds are the same schedule."""
+
+    def test_builtin_declarations(self):
+        unseeded = {name for name in EXPECTED_BUILTINS if not get_scheduler(name).seeded}
+        assert unseeded == UNSEEDED_BUILTINS
+
+    def test_user_schedulers_default_to_seeded(self):
+        class Plain(Scheduler):
+            info = SchedulerInfo(name="plain", periodic=True, local_bound="1", paper_section="-")
+
+            def build(self, graph, seed=0):  # pragma: no cover - never built
+                raise NotImplementedError
+
+        assert Plain().seeded is True
+
+    @pytest.mark.parametrize("workload", expand_workload_names(["small/*"]))
+    def test_unseeded_builds_agree_across_seeds(self, workload):
+        graph = get_workload(workload)
+        for name in available_schedulers():
+            if get_scheduler(name).seeded:
+                continue
+            keys = {get_scheduler(name).build(graph, seed=seed).content_key() for seed in (0, 1, 7, 2**40)}
+            assert len(keys) == 1 and None not in keys, name
+
+    def test_seeded_builtins_do_read_the_seed(self):
+        """The converse, for the randomised builtins: some seed pair on
+        the small suite gives different schedules."""
+        graph = get_workload("small/gnp")
+        for name in EXPECTED_BUILTINS - UNSEEDED_BUILTINS:
+            keys = {get_scheduler(name).build(graph, seed=seed).content_key() for seed in range(4)}
+            assert len(keys) > 1, name

@@ -101,6 +101,8 @@ class TestSpec:
             ExperimentSpec(name="t", workloads=("small/path",), algorithms=())
         with pytest.raises(ValueError):
             tiny_spec(seeds=())
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            tiny_spec(horizon=0)
 
     def test_scalar_grid_values_rejected(self):
         # tuple("fast") would silently expand to per-character grid points
@@ -672,6 +674,65 @@ class TestBatching:
         records = engine.run(spec)
         assert engine.stats["executed"] == len(records) == len(spec.cells())
         assert calls == {"evaluate": len(expected), "validate": len(expected)}
+
+    def test_unseeded_schedulers_build_once_per_unit(self, monkeypatch):
+        """A unit of five seeds builds an unseeded scheduler once and a
+        seeded one five times, and its records equal per-cell records."""
+        import repro.algorithms.registry as registry
+        from repro.algorithms.registry import available_schedulers
+
+        builds = {}
+        real_get = registry.get_scheduler
+
+        def counting_get(name):
+            scheduler = real_get(name)
+            real_build = scheduler.build
+
+            def build(graph, seed=0):
+                builds[name] = builds.get(name, 0) + 1
+                return real_build(graph, seed=seed)
+
+            scheduler.build = build
+            return scheduler
+
+        def spec_with(batch):
+            return ExperimentSpec(
+                name="seeded",
+                workloads=("small/gnp",),
+                algorithms=tuple(available_schedulers()),
+                seeds=(0, 1, 2, 3, 4),
+                horizon=48,
+                config=EngineConfig(batch=batch),
+            )
+
+        monkeypatch.setattr(registry, "get_scheduler", counting_get)
+        batched = ExperimentEngine(jobs=1).run(spec_with(None))
+        expected = {
+            name: 1 if real_get(name).seeded is False else 5 for name in available_schedulers()
+        }
+        assert builds == expected
+        assert builds["first-come-first-grab"] == builds["degree-periodic-distributed"] == 5
+        percell = ExperimentEngine(jobs=1).run(spec_with(1))
+
+        def stripped(records):
+            out = []
+            for record in records:
+                payload = json.loads(record_to_json_line(record))
+                for key in TIMING_METRICS:
+                    payload["metrics"].pop(key)
+                out.append(json.dumps(payload, sort_keys=True))
+            return out
+
+        assert stripped(batched) == stripped(percell)
+
+    def test_shared_build_time_is_split_over_its_cells(self):
+        """The five cells sharing one build report an even share of it."""
+        spec = ExperimentSpec(
+            name="share", workloads=("small/gnp",), algorithms=("color-periodic-omega",),
+            seeds=(0, 1, 2, 3, 4), horizon=48,
+        )
+        records = ExperimentEngine(jobs=1).run(spec)
+        assert len({r.metrics["build_seconds"] for r in records}) == 1
 
     def test_phased_greedy_generates_once_per_graph(self, monkeypatch):
         """Phased Greedy is fixed by its (seed-independent) greedy initial

@@ -176,6 +176,42 @@ class TestSchedule:
         assert outputs["--jobs"] == outputs["--stream-jobs"]
 
 
+class TestHorizonFlag:
+    """``--horizon`` below 1 is an argparse usage error (exit 2) on every
+    subcommand that takes it, never a traceback from the trace engine."""
+
+    @pytest.fixture
+    def argv(self, request, graph_file, society_file):
+        return {
+            "schedule": ["schedule", graph_file],
+            "compare": ["compare", graph_file, "--algorithms", "sequential"],
+            "experiment": ["experiment", "--workloads", "small/path", "--algorithms", "sequential"],
+            "satisfaction": ["satisfaction", society_file],
+        }[request.param]
+
+    @pytest.mark.parametrize(
+        "argv", ["schedule", "compare", "experiment", "satisfaction"], indirect=True
+    )
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_below_one_is_a_usage_error(self, argv, horizon, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--horizon", horizon])
+        assert exc.value.code == 2
+        assert f"argument --horizon: must be >= 1, got {int(horizon)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["experiment"], indirect=True)
+    def test_horizon_one_runs(self, argv, capsys):
+        assert main(argv + ["--horizon", "1"]) == 0
+
+    def test_spec_file_horizon_below_one_is_a_one_line_error(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            '{"name": "h0", "workloads": ["small/path"], "algorithms": ["sequential"], "horizon": 0}'
+        )
+        with pytest.raises(SystemExit, match="horizon must be >= 1, got 0"):
+            main(["experiment", "--spec", str(spec_path)])
+
+
 class TestCompareBoundsSatisfaction:
     def test_compare_default_set(self, graph_file, capsys):
         code = main(["compare", graph_file, "--horizon", "48"])
